@@ -33,9 +33,9 @@ int main() {
   std::printf("run: %lu cycles; private TLB: %lu hits, %lu misses "
               "(hit rate %.1f%%)\n\n",
               static_cast<unsigned long>(r.cycles),
-              static_cast<unsigned long>(tlb.hits()),
-              static_cast<unsigned long>(tlb.misses()),
-              100.0 * tlb.hit_rate());
+              static_cast<unsigned long>(tlb.stats().hits),
+              static_cast<unsigned long>(tlb.stats().misses),
+              100.0 * tlb.stats().hit_rate());
 
   std::printf("miss rate per %luK-cycle window (each # = 1%%):\n",
               static_cast<unsigned long>(series.window_cycles() / 1000));
@@ -49,8 +49,8 @@ int main() {
   std::printf("\npeak windowed miss rate: %.1f%%  (paper: spikes to 20-30%%)\n",
               100.0 * series.max_rate());
   std::printf("consecutive same-page reads:  %.0f%%  (paper: 87%%)\n",
-              100.0 * tlb.consecutive_same_page_rate(false));
+              100.0 * tlb.stats().consecutive_same_page_rate(false));
   std::printf("consecutive same-page writes: %.0f%%  (paper: 83%%)\n",
-              100.0 * tlb.consecutive_same_page_rate(true));
+              100.0 * tlb.stats().consecutive_same_page_rate(true));
   return 0;
 }

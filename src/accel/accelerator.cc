@@ -6,35 +6,18 @@ namespace gemmini {
 
 Accelerator::Accelerator(const GemminiConfig& cfg, MemorySystem& mem,
                          PageTableWalker& ptw, RequestorId requestor,
-                         trace::Tracer* tracer, fault::Injector* injector,
-                         metrics::Metrics* metrics,
-                         energy::EnergyMeter* energy)
+                         trace::Tracer* tracer, fault::Injector* injector)
     : cfg_(cfg),
       mem_(mem),
       tracer_(tracer),
-      sp_(cfg_, injector,
-          energy != nullptr ? energy->sp_hook(requestor.value)
-                            : energy::SramEnergy{}),
-      acc_(cfg_, injector,
-           energy != nullptr ? energy->acc_hook(requestor.value)
-                             : energy::SramEnergy{}),
-      translation_(cfg_.translation, ptw, tracer, injector, metrics,
-                   requestor.value),
-      dma_(cfg_, mem_, translation_, sp_, acc_, requestor, tracer, injector,
-           metrics, energy),
+      sp_(cfg_, injector),
+      acc_(cfg_, injector),
+      translation_(cfg_.translation, ptw, tracer, injector),
+      dma_(cfg_, mem_, translation_, sp_, acc_, requestor, tracer, injector),
       exec_(cfg_, sp_, acc_, injector),
       hazards_(cfg_.sp_rows(), cfg_.acc_rows()),
       rob_(cfg_.rob_entries, 0) {
   cfg_.validate();
-  if (metrics != nullptr) {
-    const std::string p = "core" + std::to_string(requestor.value);
-    m_macs_ = &metrics->registry().counter(p + ".exec.macs");
-    m_tiles_ = &metrics->registry().counter(p + ".exec.tiles");
-  }
-  if (energy != nullptr) {
-    e_exec_fj_ = &energy->core_counter(requestor.value, "exec");
-    mac_fj_ = energy->mac_fj();
-  }
 }
 
 void Accelerator::start(const Program* prog, const AddressSpace* as,
@@ -101,21 +84,18 @@ void Accelerator::exec_one(const Instruction& inst) {
       GEMMINI_CHECK_MSG(
           cfg_.dataflow == Dataflow::kBoth || cfg_.dataflow == inst.dataflow,
           "dataflow not supported by this instantiation");
-      stats_.counter("config").add();
       break;
     }
     case Opcode::kConfigLd: {
       ld_[inst.ld_channel].stride = inst.stride_bytes;
       ld_[inst.ld_channel].scale = inst.ld_scale;
       ld_[inst.ld_channel].int4 = inst.ld_int4;
-      stats_.counter("config").add();
       break;
     }
     case Opcode::kConfigSt: {
       st_stride_ = inst.stride_bytes;
       pool_window_ = inst.pool_window;
       pool_stride_ = inst.pool_stride;
-      stats_.counter("config").add();
       break;
     }
     case Opcode::kMvin: {
@@ -208,13 +188,7 @@ void Accelerator::exec_one(const Instruction& inst) {
         tracer_->span(trace::EventKind::kTile, start, end,
                       report_.macs - macs_before);
       }
-      if (m_macs_ != nullptr) {
-        m_macs_->add(report_.macs - macs_before);
-        m_tiles_->add();
-      }
-      if (e_exec_fj_ != nullptr) {
-        e_exec_fj_->add((report_.macs - macs_before) * mac_fj_);
-      }
+      ++report_.tiles;
       if (!inst.local.is_garbage()) {
         hazards_.record_read(false, inst.local.row(), inst.rows, end);
       }
@@ -233,16 +207,22 @@ void Accelerator::exec_one(const Instruction& inst) {
     case Opcode::kFence: {
       const Cycle t = std::max({ld_free_, ex_free_, st_free_, frontier_});
       ld_free_ = ex_free_ = st_free_ = t;
-      stats_.counter("fences").add();
       break;
     }
     case Opcode::kFlush: {
       translation_.flush();
-      stats_.counter("flushes").add();
       break;
     }
   }
   report_.finish = frontier_;
+}
+
+void Accelerator::reset_stats() {
+  report_ = AccelReport{};
+  sp_.reset_stats();
+  acc_.reset_stats();
+  dma_.reset_stats();
+  translation_.reset_stats();
 }
 
 void Accelerator::reset_time() {

@@ -21,7 +21,6 @@
 #include "src/accel/hazards.h"
 #include "src/accel/scratchpad.h"
 #include "src/arch/config.h"
-#include "src/base/stats.h"
 #include "src/isa/isa.h"
 #include "src/mem/memsys.h"
 #include "src/vm/ptw.h"
@@ -29,11 +28,13 @@
 
 namespace gemmini {
 
-/// Aggregate performance report for a program (or accumulated across many).
+/// Aggregate performance report for a program (or accumulated across many):
+/// the accelerator controller's own counts, zeroed by reset_stats().
 struct AccelReport {
   Cycle finish = 0;            ///< completion of everything issued
   std::uint64_t instructions = 0;
   std::uint64_t macs = 0;
+  std::uint64_t tiles = 0;     ///< COMPUTE instructions retired
   Cycle load_busy = 0;
   Cycle exec_busy = 0;
   Cycle store_busy = 0;
@@ -52,17 +53,11 @@ class Accelerator {
   /// `ptw` is shared SoC-wide (single walker, as in the paper's edge SoC).
   /// `tracer` (may be null) receives instruction-level spans (MVIN/MVOUT,
   /// preloads, compute tiles) plus everything the owned DMA/translation
-  /// subsystems emit. `metrics` (may be null) registers this core's
-  /// counters ("core<N>.exec.*", and via the owned DMA/translation,
-  /// "core<N>.dma.*" / "core<N>.tlb.*") keyed by `requestor`. `energy` (may
-  /// be null) prices this core's exec MACs, DMA bytes, and scratchpad /
-  /// accumulator row accesses ("energy.core<N>.*").
+  /// subsystems emit.
   Accelerator(const GemminiConfig& cfg, MemorySystem& mem,
               PageTableWalker& ptw, RequestorId requestor,
               trace::Tracer* tracer = nullptr,
-              fault::Injector* injector = nullptr,
-              metrics::Metrics* metrics = nullptr,
-              energy::EnergyMeter* energy = nullptr);
+              fault::Injector* injector = nullptr);
 
   /// Functional mode moves real data through PhysMem; timing mode moves only
   /// time (used for full-DNN benchmark sweeps).
@@ -88,12 +83,18 @@ class Accelerator {
   // ---- Introspection --------------------------------------------------------
   const GemminiConfig& config() const { return cfg_; }
   Scratchpad& scratchpad() { return sp_; }
+  const Scratchpad& scratchpad() const { return sp_; }
   Accumulator& accumulator() { return acc_; }
+  const Accumulator& accumulator() const { return acc_; }
   DmaEngine& dma() { return dma_; }
+  const DmaEngine& dma() const { return dma_; }
   TranslationSystem& translation() { return translation_; }
   const TranslationSystem& translation() const { return translation_; }
   const AccelReport& report() const { return report_; }
-  void reset_report() { report_ = AccelReport{}; }
+
+  /// Zeroes the report and the counts of every owned unit (SRAMs, DMA,
+  /// translation).
+  void reset_stats();
 
   /// Reset all *timing* state between independent experiments (keeps
   /// functional memories).
@@ -107,10 +108,6 @@ class Accelerator {
   GemminiConfig cfg_;
   MemorySystem& mem_;
   trace::Tracer* tracer_;
-  metrics::Counter* m_macs_ = nullptr;
-  metrics::Counter* m_tiles_ = nullptr;
-  metrics::Counter* e_exec_fj_ = nullptr;
-  std::uint64_t mac_fj_ = 0;
   bool functional_ = true;
 
   Scratchpad sp_;
@@ -147,7 +144,6 @@ class Accelerator {
   Cycle start_at_ = 0;
 
   AccelReport report_;
-  StatSet stats_;
 };
 
 }  // namespace gemmini

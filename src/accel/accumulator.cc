@@ -61,11 +61,9 @@ Cycle Accumulator::reserve(std::uint64_t row, std::uint64_t nrows, Cycle t,
   for (unsigned b = first; b <= last; ++b) {
     start = std::max(start, bank_busy_[b]);
   }
-  if (start > t) stats_.counter("bank_conflict_cycles").add(start - t);
   const Cycle done = start + cycles;
   for (unsigned b = first; b <= last; ++b) bank_busy_[b] = done;
-  stats_.counter("accesses").add();
-  energy_.charge_rows(nrows);
+  stats_.rows += nrows;
   // Fault layer: one flip draw per reservation over the touched region.
   if (injector_ && nrows > 0) {
     std::uint64_t bit = 0;

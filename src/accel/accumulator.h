@@ -11,21 +11,21 @@
 
 #include "src/arch/config.h"
 #include "src/base/fixed.h"
-#include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
-#include "src/energy/energy.h"
 #include "src/fault/fault.h"
 
 namespace gemmini {
 
 class Accumulator {
  public:
-  /// `energy` (default-constructed = off) charges the per-row SRAM price
-  /// on every reserve.
+  /// Everything the accumulator counts, since the last reset_stats().
+  struct Stats {
+    std::uint64_t rows = 0;  ///< rows touched by reservations (SRAM energy)
+  };
+
   explicit Accumulator(const GemminiConfig& cfg,
-                       fault::Injector* injector = nullptr,
-                       energy::SramEnergy energy = {})
+                       fault::Injector* injector = nullptr)
       : dtype_(cfg.dtype),
         dim_(cfg.dim()),
         rows_(cfg.acc_rows()),
@@ -33,8 +33,7 @@ class Accumulator {
         i32_(dtype_ == DType::kInt8 ? rows_ * dim_ : 0, 0),
         f32_(dtype_ == DType::kFp32 ? rows_ * dim_ : 0, 0.0f),
         bank_busy_(cfg.acc_banks, 0),
-        injector_(injector),
-        energy_(energy) {}
+        injector_(injector) {}
 
   std::uint64_t rows() const { return rows_; }
   unsigned dim() const { return dim_; }
@@ -89,7 +88,8 @@ class Accumulator {
     return nrows * dim_ * 4 * 8;
   }
 
-  const StatSet& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
+  void reset_stats() { stats_ = Stats{}; }
 
  private:
   DType dtype_;
@@ -100,8 +100,7 @@ class Accumulator {
   std::vector<float> f32_;
   std::vector<Cycle> bank_busy_;
   fault::Injector* injector_;
-  energy::SramEnergy energy_;
-  StatSet stats_;
+  Stats stats_;
 };
 
 }  // namespace gemmini

@@ -70,20 +70,13 @@ DmaEngine::StreamResult DmaEngine::stream(const AddressSpace& as, VAddr va,
     r.next_issue = blocking_miss ? tr.done + 1 : slot + 1;
     cur += chunk;
     remaining -= chunk;
-    stats_.counter(write ? "bytes_out" : "bytes_in").add(chunk);
-    stats_.counter("requests").add();
   }
   if (tracer_) {
     tracer_->span(write ? trace::EventKind::kDmaBurstWrite
                         : trace::EventKind::kDmaBurstRead,
                   issue, r.done, bytes, requestor_.value);
   }
-  if (m_load_bytes_ != nullptr) {
-    (write ? m_store_bytes_ : m_load_bytes_)->add(bytes);
-  }
-  if (e_dma_fj_ != nullptr) {
-    e_dma_fj_->add(bytes * dma_byte_fj_);
-  }
+  (write ? stats_.store_bytes : stats_.load_bytes) += bytes;
   return r;
 }
 
@@ -104,7 +97,6 @@ DmaEngine::XferResult DmaEngine::mvin(const AddressSpace& as, VAddr dram,
       int4 ? (static_cast<std::uint64_t>(cols) + 1) / 2
            : static_cast<std::uint64_t>(cols) * elem;
 
-  stats_.counter("mvins").add();
   Cycle issue = start;
   Cycle done = start;
   // Consecutive rows that are contiguous in DRAM (stride == row width)
@@ -241,7 +233,6 @@ DmaEngine::XferResult DmaEngine::mvout(const AddressSpace& as, VAddr dram,
   const std::size_t elem = cfg_.input_bytes();
   const std::uint64_t row_bytes = static_cast<std::uint64_t>(cols) * elem;
 
-  stats_.counter("mvouts").add();
   Cycle issue = start;
   Cycle done = start;
   // Contiguous output rows coalesce into one burst (see mvin).

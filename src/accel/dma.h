@@ -15,11 +15,9 @@
 #include "src/accel/accumulator.h"
 #include "src/accel/scratchpad.h"
 #include "src/arch/config.h"
-#include "src/base/stats.h"
 #include "src/base/types.h"
 #include "src/isa/isa.h"
 #include "src/mem/memsys.h"
-#include "src/metrics/metrics.h"
 #include "src/trace/trace.h"
 #include "src/vm/translation.h"
 
@@ -27,12 +25,16 @@ namespace gemmini {
 
 class DmaEngine {
  public:
+  /// Everything the engine counts, since the last reset_stats().
+  struct Stats {
+    std::uint64_t load_bytes = 0;   ///< DRAM -> local (MVIN)
+    std::uint64_t store_bytes = 0;  ///< local -> DRAM (MVOUT)
+  };
+
   DmaEngine(const GemminiConfig& cfg, MemorySystem& mem,
             TranslationSystem& translation, Scratchpad& sp, Accumulator& acc,
             RequestorId requestor, trace::Tracer* tracer = nullptr,
-            fault::Injector* injector = nullptr,
-            metrics::Metrics* metrics = nullptr,
-            energy::EnergyMeter* energy = nullptr)
+            fault::Injector* injector = nullptr)
       : cfg_(cfg),
         mem_(mem),
         translation_(translation),
@@ -40,17 +42,7 @@ class DmaEngine {
         acc_(acc),
         requestor_(requestor),
         tracer_(tracer),
-        injector_(injector) {
-    if (metrics != nullptr) {
-      const std::string p = "core" + std::to_string(requestor.value);
-      m_load_bytes_ = &metrics->registry().counter(p + ".dma.load_bytes");
-      m_store_bytes_ = &metrics->registry().counter(p + ".dma.store_bytes");
-    }
-    if (energy != nullptr) {
-      e_dma_fj_ = &energy->core_counter(requestor.value, "dma");
-      dma_byte_fj_ = energy->dma_byte_fj();
-    }
-  }
+        injector_(injector) {}
 
   /// Timing result of a data-movement instruction: `issue_done` is when the
   /// DMA front-end finishes injecting requests (the next MVIN/MVOUT can
@@ -80,7 +72,8 @@ class DmaEngine {
                    unsigned cols, unsigned out_shift, Activation act,
                    Cycle start, bool functional);
 
-  const StatSet& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
+  void reset_stats() { stats_ = Stats{}; }
   TranslationSystem& translation() { return translation_; }
 
   /// Drops in-flight state (absolute times) between independent runs.
@@ -107,10 +100,6 @@ class DmaEngine {
   RequestorId requestor_;
   trace::Tracer* tracer_;
   fault::Injector* injector_;
-  metrics::Counter* m_load_bytes_ = nullptr;
-  metrics::Counter* m_store_bytes_ = nullptr;
-  metrics::Counter* e_dma_fj_ = nullptr;
-  std::uint64_t dma_byte_fj_ = 0;
   // Reads and writes have independent in-flight windows, mirroring the
   // RTL's separate load/store reservation stations: a backlog of store
   // completions must not stall load issue.
@@ -119,7 +108,7 @@ class DmaEngine {
   /// Functional-path staging buffer, reused across transfers so each
   /// mvin/mvout doesn't pay a zero-initialization of the whole payload.
   std::vector<std::uint8_t> stage_;
-  StatSet stats_;
+  Stats stats_;
 };
 
 }  // namespace gemmini

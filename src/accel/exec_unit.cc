@@ -36,7 +36,6 @@ void ExecUnit::latch_b(LocalAddr b, unsigned rows, unsigned cols) {
 
 Cycle ExecUnit::preload(const Instruction& inst, Cycle start,
                         bool functional) {
-  stats_.counter("preloads").add();
   const Cycle cycles = model_.preload_cycles(inst.rows);
   Cycle t;
   if (!inst.local.is_garbage()) {
@@ -104,7 +103,6 @@ Cycle ExecUnit::compute(const Instruction& inst, const ExConfigState& ex,
   const unsigned k = inst.cols;       // A cols == B rows
   const unsigned n = c_cols_ == 0 ? dim : c_cols_;
   GEMMINI_CHECK(m <= dim && k <= dim && n <= dim);
-  stats_.counter("computes").add();
   macs_out += static_cast<std::uint64_t>(m) * k * n;
 
   // Timing: stream A out of the scratchpad, flow through the array, land in
@@ -119,7 +117,6 @@ Cycle ExecUnit::compute(const Instruction& inst, const ExConfigState& ex,
     GEMMINI_CHECK_MSG(cfg_.has_transposer,
                       "a_transpose requires the transposer block");
     lat += dim;  // extra pass through the transposer pipeline
-    stats_.counter("transposes").add();
   }
   t += lat;
   if (!c_dest_.is_garbage()) {

@@ -13,7 +13,6 @@
 #include "src/accel/scratchpad.h"
 #include "src/arch/config.h"
 #include "src/arch/spatial_array.h"
-#include "src/base/stats.h"
 #include "src/isa/isa.h"
 
 namespace gemmini {
@@ -54,7 +53,6 @@ class ExecUnit {
   unsigned c_cols() const { return c_cols_; }
 
   const SpatialArrayModel& model() const { return model_; }
-  const StatSet& stats() const { return stats_; }
 
  private:
   void latch_b(LocalAddr b, unsigned rows, unsigned cols);
@@ -85,8 +83,6 @@ class ExecUnit {
   LocalAddr c_dest_ = LocalAddr::garbage();
   unsigned c_rows_ = 0;
   unsigned c_cols_ = 0;
-
-  StatSet stats_;
 };
 
 }  // namespace gemmini

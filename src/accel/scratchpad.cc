@@ -15,13 +15,12 @@ Cycle Scratchpad::reserve(std::uint64_t row, std::uint64_t nrows, Cycle t,
   for (unsigned b = first; b <= last; ++b) {
     start = std::max(start, bank_busy_[b]);
   }
-  if (start > t) stats_.counter("bank_conflict_cycles").add(start - t);
+  if (start > t) stats_.bank_conflict_cycles += start - t;
   const Cycle done = start + cycles;
   for (unsigned b = first; b <= last; ++b) {
     bank_busy_[b] = done;
   }
-  stats_.counter("accesses").add();
-  energy_.charge_rows(nrows);
+  stats_.rows += nrows;
   // Fault layer: an SRAM cell in the reserved region may flip (one draw per
   // reservation — an access-correlated model, not time-based decay).
   if (injector_ && nrows > 0) {

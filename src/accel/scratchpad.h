@@ -10,28 +10,28 @@
 #include <vector>
 
 #include "src/arch/config.h"
-#include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
-#include "src/energy/energy.h"
 #include "src/fault/fault.h"
 
 namespace gemmini {
 
 class Scratchpad {
  public:
-  /// `energy` (default-constructed = off) charges the per-row SRAM price
-  /// on every reserve.
+  /// Everything the scratchpad counts, since the last reset_stats().
+  struct Stats {
+    std::uint64_t rows = 0;  ///< rows touched by reservations (SRAM energy)
+    std::uint64_t bank_conflict_cycles = 0;
+  };
+
   explicit Scratchpad(const GemminiConfig& cfg,
-                      fault::Injector* injector = nullptr,
-                      energy::SramEnergy energy = {})
+                      fault::Injector* injector = nullptr)
       : row_bytes_(cfg.sp_row_bytes()),
         rows_(cfg.sp_rows()),
         bank_rows_(cfg.sp_bank_rows()),
         data_(rows_ * row_bytes_, 0),
         bank_busy_(cfg.sp_banks, 0),
-        injector_(injector),
-        energy_(energy) {}
+        injector_(injector) {}
 
   std::uint64_t rows() const { return rows_; }
   std::uint64_t row_bytes() const { return row_bytes_; }
@@ -68,7 +68,8 @@ class Scratchpad {
     for (auto& b : bank_busy_) b = 0;
   }
 
-  const StatSet& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
+  void reset_stats() { stats_ = Stats{}; }
 
  private:
   std::uint64_t row_bytes_;
@@ -77,8 +78,7 @@ class Scratchpad {
   std::vector<std::uint8_t> data_;
   std::vector<Cycle> bank_busy_;
   fault::Injector* injector_;
-  energy::SramEnergy energy_;
-  StatSet stats_;
+  Stats stats_;
 };
 
 }  // namespace gemmini

@@ -1,21 +1,23 @@
 #pragma once
-// Named statistics: counters, windowed time series, exact percentiles, and
+// Statistics helpers: windowed time series, exact percentiles, and
 // time-weighted accumulators.
 //
-// Every simulated component owns a StatSet; components register counters by
-// name and the SoC-level report concatenates them. The TimeSeries type backs
-// the paper's Fig. 4 (TLB miss rate over a full ResNet-50 inference): it
-// buckets events into fixed-width cycle windows and reports a per-window
-// rate. `percentile`/`percentile_sorted` compute exact nearest-rank
-// percentiles from stored samples (no sketches — the serving layer's tail
-// latencies are exact), and `TimeWeighted` integrates a piecewise-constant
-// value (e.g. a queue depth) over simulated time so its mean weights each
-// level by how long it was held, not by how often it changed.
+// Event counts are not kept here: every timed component counts each event
+// once into its own plain typed `Stats` struct (src/mem/dram.h, src/vm/tlb.h,
+// ...), the SoC zeroes those structs at run start, and the metrics registry
+// and energy meter read them when a sampler window closes.
+//
+// The TimeSeries type backs the paper's Fig. 4 (TLB miss rate over a full
+// ResNet-50 inference): it buckets events into fixed-width cycle windows and
+// reports a per-window rate. `percentile`/`percentile_sorted` compute exact
+// nearest-rank percentiles from stored samples (no sketches — the serving
+// layer's tail latencies are exact), and `TimeWeighted` integrates a
+// piecewise-constant value (e.g. a queue depth) over simulated time so its
+// mean weights each level by how long it was held, not by how often it
+// changed.
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "src/base/types.h"
@@ -104,27 +106,10 @@ class TimeWeighted {
   double max_ = 0.0;
 };
 
-/// A monotonically increasing named counter.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Ratio helper for hit/miss style statistics.
-struct Ratio {
-  std::uint64_t numerator = 0;
-  std::uint64_t denominator = 0;
-  double value() const {
-    return denominator == 0 ? 0.0
-                            : static_cast<double>(numerator) /
-                                  static_cast<double>(denominator);
-  }
-};
+/// n / d, or 0 when d == 0 (hit rates of components that saw no traffic).
+inline double safe_ratio(std::uint64_t n, std::uint64_t d) {
+  return d == 0 ? 0.0 : static_cast<double>(n) / static_cast<double>(d);
+}
 
 /// Buckets (event, total) pairs into fixed-width cycle windows. Used to
 /// profile e.g. TLB miss rate over time (paper Fig. 4).
@@ -179,24 +164,6 @@ class TimeSeries {
   Cycle window_;
   std::vector<std::uint64_t> totals_;
   std::vector<std::uint64_t> events_;
-};
-
-/// A registry of named counters, suitable for report printing.
-class StatSet {
- public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  std::uint64_t value(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
-  }
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  void reset();
-
-  /// Renders "name: value" lines, one per counter, with `prefix` prepended.
-  std::string report(const std::string& prefix = "") const;
-
- private:
-  std::map<std::string, Counter> counters_;
 };
 
 }  // namespace gemmini

@@ -8,22 +8,22 @@
 // price, so a row-thrashing schedule and a row-friendly one no longer cost
 // the same joules.
 //
-// The meter is "price the existing counters": it rides the metrics registry
-// (src/metrics/metrics.h) exactly like every other instrument. Components
-// take a possibly-null `energy::EnergyMeter*` as a trailing constructor
-// parameter, cache the Counter* handles and quantized prices they need at
-// construction, and guard each hot-path charge with one null check — a null
-// meter means "energy off" and costs nothing but that branch. Metering is
-// observational only: it never feeds back into timing, so golden cycle
-// counts are bit-identical on and off.
+// The meter literally prices the existing counts. Components never see it:
+// they count DRAM commands, refresh periods, MACs, DMA bytes and SRAM rows
+// once, in their own typed stats structs. The meter is only the quantized
+// price table; the Soc hands it those counts to publish the "energy.*"
+// counters at each sampler window close, and the Session asks for the same
+// tally to build Report::energy. Metering is observational only: it never
+// feeds back into timing, so golden cycle counts are bit-identical on and
+// off, and a session without `.metrics()` keeps no registry at all.
 //
 // Accounting is *integer femtojoules*. Config prices are doubles in pJ for
 // ergonomics, but each is quantized exactly once (at meter construction) to
-// a uint64 femtojoule rate; all accumulation is then integer counter
-// arithmetic. That makes every derived number — totals, per-channel splits,
-// per-window power timelines — bit-exact from end-of-run counters, so
-// cross-point merging and the sampler reconciliation invariant
-// (sum(window deltas) == total) hold exactly, not approximately.
+// a uint64 femtojoule rate; every energy is then count x rate in integers.
+// That makes every derived number — totals, per-channel splits, per-window
+// power timelines — bit-exact, so cross-point merging and the sampler
+// reconciliation invariant (sum(window deltas) == total) hold exactly, not
+// approximately.
 //
 // Registry names (all values in fJ):
 //   energy.dram.{act,pre,rd,wr,ref,io}_fj   per-command-kind totals
@@ -47,7 +47,7 @@ namespace gemmini::energy {
 /// zero prices is exactly as if energy were never enabled — the
 /// zero-overhead-off contract extends to the report bytes).
 struct EnergyPrices {
-  // DRAM command-level prices, applied in the controller's issue path.
+  // DRAM command-level prices, per command the controller issued.
   double dram_act_pj = 0.0;  ///< row activate (charged per row miss)
   double dram_pre_pj = 0.0;  ///< row precharge (charged per row miss)
   double dram_rd_pj = 0.0;   ///< read column command
@@ -124,22 +124,40 @@ struct EnergyConfig {
   void validate() const { prices.validate(); }
 };
 
-/// The per-row SRAM charge hook handed to Scratchpad/Accumulator: a cached
-/// counter handle plus the quantized per-row price. Null handle = energy
-/// off; `charge_rows` is then the one predictable branch.
-struct SramEnergy {
-  metrics::Counter* fj = nullptr;
-  std::uint64_t row_fj = 0;
-
-  void charge_rows(std::uint64_t nrows) const {
-    if (fj != nullptr) fj->add(nrows * row_fj);
-  }
+/// One DRAM channel's command counts for a run, as the controller kept them.
+struct DramCounts {
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+  std::uint64_t row_misses = 0;       ///< each one an ACT + PRE pair
+  std::uint64_t bytes = 0;
+  std::uint64_t refresh_periods = 0;  ///< all-bank refresh periods entered
 };
 
-/// The meter threaded through the timed stack (Soc -> MemorySystem -> Dram,
-/// Accelerator -> DmaEngine / Scratchpad / Accumulator). Owns nothing: all
-/// accumulation lands in the shared metrics registry, so run-reset
-/// (Registry::reset) and sampler timelines come for free.
+/// One core's accelerator-side counts for a run.
+struct CoreCounts {
+  std::uint64_t macs = 0;
+  std::uint64_t dma_bytes = 0;
+  std::uint64_t sp_rows = 0;   ///< scratchpad rows touched
+  std::uint64_t acc_rows = 0;  ///< accumulator rows touched
+};
+
+/// A run's dynamic energy in fJ, priced from its counts. The per-kind DRAM
+/// totals and the per-channel totals partition the same commands.
+struct Tally {
+  std::uint64_t dram_act = 0, dram_pre = 0, dram_rd = 0, dram_wr = 0;
+  std::uint64_t dram_ref = 0, dram_io = 0;
+  std::vector<std::uint64_t> dram_channel;
+  struct Core {
+    std::uint64_t exec = 0, dma = 0, sp = 0, acc = 0;
+  };
+  std::vector<Core> cores;
+
+  /// Writes the tally as the "energy.*" counters listed above.
+  void publish(metrics::Registry& reg) const;
+};
+
+/// The quantized price table. Holds no counts: the Soc hands it each run's
+/// component counts and it returns (or publishes) their energy.
 class EnergyMeter {
  public:
   /// Quantizes a picojoule price to integer femtojoules, once.
@@ -151,8 +169,7 @@ class EnergyMeter {
   /// the session computes it, because only the session sees the config and
   /// the power model). `clock_ghz` converts it to an fJ/cycle rate and
   /// backs the fJ->watts conversions.
-  EnergyMeter(const EnergyConfig& cfg, double static_mw, double clock_ghz,
-              metrics::Registry& reg);
+  EnergyMeter(const EnergyConfig& cfg, double static_mw, double clock_ghz);
 
   const EnergyConfig& config() const { return cfg_; }
   double clock_ghz() const { return clock_ghz_; }
@@ -167,74 +184,21 @@ class EnergyMeter {
            static_cast<double>(cycles);
   }
 
-  // ---- DRAM hooks (src/mem/dram.cc) ---------------------------------------
-  /// Creates the per-channel counters; called from the Dram constructor so
-  /// channel handles exist before the first access.
-  void attach_dram(unsigned channels);
-
-  /// One column command on `channel`: RD or WR plus per-byte IO, plus an
-  /// ACT+PRE pair when the row buffer missed.
-  void dram_command(unsigned channel, bool row_hit, bool is_write,
-                    std::uint64_t bytes) {
-    std::uint64_t fj = bytes * io_byte_fj_;
-    dram_io_->add(bytes * io_byte_fj_);
-    if (is_write) {
-      dram_wr_->add(wr_fj_);
-      fj += wr_fj_;
-    } else {
-      dram_rd_->add(rd_fj_);
-      fj += rd_fj_;
-    }
-    if (!row_hit) {
-      dram_act_->add(act_fj_);
-      dram_pre_->add(pre_fj_);
-      fj += act_fj_ + pre_fj_;
-    }
-    dram_ch_[channel]->add(fj);
-  }
-
-  /// `periods` newly-entered refresh periods on `channel` (all-bank
-  /// refresh; the controller meters each period once, event-driven).
-  void dram_refresh(unsigned channel, std::uint64_t periods) {
-    const std::uint64_t fj = periods * ref_fj_;
-    dram_ref_->add(fj);
-    dram_ch_[channel]->add(fj);
-  }
-
-  // ---- Core-side hooks ----------------------------------------------------
-  std::uint64_t mac_fj() const { return mac_fj_; }
-  std::uint64_t dma_byte_fj() const { return dma_byte_fj_; }
-
-  /// The per-core counter "energy.core<N>.<what>_fj", created on demand
-  /// (components call this once, at construction, and cache the handle).
-  metrics::Counter& core_counter(int core, const char* what);
-
-  SramEnergy sp_hook(int core) {
-    return SramEnergy{&core_counter(core, "sp"), sp_row_fj_};
-  }
-  SramEnergy acc_hook(int core) {
-    return SramEnergy{&core_counter(core, "acc"), acc_row_fj_};
-  }
+  /// Prices one run: every DRAM column command (RD or WR plus per-byte IO,
+  /// plus ACT+PRE on a row miss), every refresh period, and each core's
+  /// MACs, DMA bytes and SRAM rows.
+  Tally price(const std::vector<DramCounts>& channels,
+              const std::vector<CoreCounts>& cores) const;
 
  private:
   EnergyConfig cfg_;
   double static_mw_;
   double clock_ghz_;
-  metrics::Registry& reg_;
 
   // Quantized price table (fJ).
   std::uint64_t act_fj_, pre_fj_, rd_fj_, wr_fj_, ref_fj_, io_byte_fj_;
   std::uint64_t mac_fj_, dma_byte_fj_, sp_row_fj_, acc_row_fj_;
   std::uint64_t static_fj_per_cycle_;
-
-  // Cached handles (registry nodes are stable across reset()).
-  metrics::Counter* dram_act_;
-  metrics::Counter* dram_pre_;
-  metrics::Counter* dram_rd_;
-  metrics::Counter* dram_wr_;
-  metrics::Counter* dram_ref_;
-  metrics::Counter* dram_io_;
-  std::vector<metrics::Counter*> dram_ch_;
 };
 
 }  // namespace gemmini::energy

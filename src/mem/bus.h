@@ -8,10 +8,11 @@
 // waits, which is the mechanism behind multi-core contention in Fig. 9.
 //
 // Accounting is kept per requestor (who moved how many bytes, who ate how
-// many wait cycles) — the raw material for both the sim::Report substrate
-// table and trace-event attribution. When a trace::Tracer is attached, every
-// grant (and any wait preceding it) is emitted as a span on this bus's
-// track; tracing is observational and never alters busy_until_ bookkeeping.
+// many wait cycles) — the raw material for the sim::Report substrate table
+// and the "sysbus"/"membus" metrics the Soc publishes. When a trace::Tracer
+// is attached, every grant (and any wait preceding it) is emitted as a span
+// on this bus's track; tracing is observational and never alters
+// busy_until_ bookkeeping.
 
 #include <cstdint>
 #include <string>
@@ -20,7 +21,6 @@
 #include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
-#include "src/metrics/metrics.h"
 #include "src/trace/trace.h"
 
 namespace gemmini {
@@ -37,7 +37,6 @@ class Bus {
   /// Per-requestor share of this bus's traffic and contention.
   struct RequestorStats {
     int requestor = 0;
-    std::uint64_t transfers = 0;
     std::uint64_t bytes = 0;
     std::uint64_t wait_cycles = 0;
 
@@ -45,20 +44,28 @@ class Bus {
         default;
   };
 
+  /// Everything this bus counts, since the last reset_stats().
+  struct Stats {
+    std::uint64_t busy_cycles = 0;
+    std::vector<RequestorStats> requestors;  ///< first-seen order
+
+    std::uint64_t bytes() const {
+      std::uint64_t n = 0;
+      for (const RequestorStats& rs : requestors) n += rs.bytes;
+      return n;
+    }
+    std::uint64_t wait_cycles() const {
+      std::uint64_t n = 0;
+      for (const RequestorStats& rs : requestors) n += rs.wait_cycles;
+      return n;
+    }
+  };
+
   explicit Bus(const BusConfig& cfg, std::string name = "bus",
                trace::Tracer* tracer = nullptr,
-               trace::Unit unit = trace::Unit::kSystemBus,
-               metrics::Metrics* metrics = nullptr)
-      : cfg_(cfg),
-        name_(std::move(name)),
-        tracer_(tracer),
-        metrics_(metrics),
-        unit_(unit) {
+               trace::Unit unit = trace::Unit::kSystemBus)
+      : cfg_(cfg), name_(std::move(name)), tracer_(tracer), unit_(unit) {
     cfg_.validate();
-    if (metrics_ != nullptr) {
-      m_bytes_ = &metrics_->registry().counter(name_ + ".bytes");
-      m_wait_ = &metrics_->registry().counter(name_ + ".wait_cycles");
-    }
   }
 
   /// Requests the bus at time `t` for a `bytes`-byte transfer. Returns the
@@ -67,95 +74,54 @@ class Bus {
     const Cycle occupancy =
         (bytes + cfg_.width_bytes - 1) / cfg_.width_bytes;
     const Cycle start = t > busy_until_ ? t : busy_until_;
-    const std::size_t ri = requestor_index(requestor.value);
-    RequestorStats& rs = by_requestor_[ri];
+    RequestorStats& rs = requestor_stats(requestor.value);
     if (start > t) {
-      stats_.counter("wait_cycles").add(start - t);
       rs.wait_cycles += start - t;
       if (tracer_) {
         tracer_->span_on(unit_, trace::EventKind::kBusWait, t, start, bytes,
                          requestor.value);
       }
-      if (m_wait_ != nullptr) {
-        m_wait_->add(start - t);
-        m_req_wait_[ri]->add(start - t);
-      }
     }
     busy_until_ = start + occupancy;
-    stats_.counter("busy_cycles").add(occupancy);
-    stats_.counter("transfers").add();
-    stats_.counter("bytes").add(bytes);
-    rs.transfers += 1;
+    stats_.busy_cycles += occupancy;
     rs.bytes += bytes;
     if (tracer_) {
       tracer_->span_on(unit_, trace::EventKind::kBusGrant, start, busy_until_,
                        bytes, requestor.value);
     }
-    if (m_bytes_ != nullptr) {
-      m_bytes_->add(bytes);
-      m_req_bytes_[ri]->add(bytes);
-    }
     return busy_until_;
   }
 
   Cycle busy_until() const { return busy_until_; }
-  /// Resets occupancy and the per-requestor table (which therefore always
-  /// describes the window since the last reset — one Session run). The
-  /// aggregate StatSet deliberately survives, like every other component's.
-  void reset_time() {
-    busy_until_ = 0;
-    by_requestor_.clear();
-    // Registry entries survive; the handle vectors are rebuilt as
-    // requestors reappear (counter() returns the same node).
-    m_req_bytes_.clear();
-    m_req_wait_.clear();
-  }
+  void reset_time() { busy_until_ = 0; }
+  void reset_stats() { stats_ = Stats{}; }
 
   const BusConfig& config() const { return cfg_; }
-  const StatSet& stats() const { return stats_; }
-  /// Per-requestor accounting, in first-seen order (sort by `requestor` for
-  /// stable reporting).
-  const std::vector<RequestorStats>& requestor_stats() const {
-    return by_requestor_;
-  }
+  const std::string& name() const { return name_; }
+  const Stats& stats() const { return stats_; }
 
   /// Fraction of cycles busy in [0, horizon).
   double utilization(Cycle horizon) const {
-    if (horizon == 0) return 0.0;
-    return static_cast<double>(stats_.value("busy_cycles")) /
-           static_cast<double>(horizon);
+    return safe_ratio(stats_.busy_cycles, horizon);
   }
 
  private:
-  std::size_t requestor_index(int id) {
+  RequestorStats& requestor_stats(int id) {
     // A handful of requestors per SoC (cores + PTW): linear scan beats any
     // map on this hot path.
-    for (std::size_t i = 0; i < by_requestor_.size(); ++i) {
-      if (by_requestor_[i].requestor == id) return i;
+    for (RequestorStats& rs : stats_.requestors) {
+      if (rs.requestor == id) return rs;
     }
-    by_requestor_.push_back(RequestorStats{id, 0, 0, 0});
-    if (metrics_ != nullptr) {
-      const std::string p = name_ + ".req" + std::to_string(id);
-      m_req_bytes_.push_back(&metrics_->registry().counter(p + ".bytes"));
-      m_req_wait_.push_back(
-          &metrics_->registry().counter(p + ".wait_cycles"));
-    }
-    return by_requestor_.size() - 1;
+    stats_.requestors.push_back(RequestorStats{id, 0, 0});
+    return stats_.requestors.back();
   }
 
   BusConfig cfg_;
   std::string name_;
   trace::Tracer* tracer_;
-  metrics::Metrics* metrics_;
-  metrics::Counter* m_bytes_ = nullptr;
-  metrics::Counter* m_wait_ = nullptr;
   trace::Unit unit_;
   Cycle busy_until_ = 0;
-  StatSet stats_;
-  std::vector<RequestorStats> by_requestor_;
-  /// Parallel to by_requestor_ (only populated when metrics are on).
-  std::vector<metrics::Counter*> m_req_bytes_;
-  std::vector<metrics::Counter*> m_req_wait_;
+  Stats stats_;
 };
 
 }  // namespace gemmini

@@ -38,16 +38,14 @@ CacheAccess Cache::access_line(PAddr addr, bool write, RequestorId requestor) {
     if (l.valid && l.tag == tag) {
       l.lru = lru_clock_;
       l.dirty = l.dirty || write;
-      stats_.counter("hits").add();
-      if (write) stats_.counter("write_hits").add();
+      ++stats_.hits;
       result.hit = true;
       return result;
     }
   }
 
   // Miss: pick invalid way, else LRU victim.
-  stats_.counter("misses").add();
-  if (write) stats_.counter("write_misses").add();
+  ++stats_.misses;
   Line* victim = nullptr;
   for (unsigned w = 0; w < cfg_.ways; ++w) {
     if (!base[w].valid) {
@@ -63,9 +61,8 @@ CacheAccess Cache::access_line(PAddr addr, bool write, RequestorId requestor) {
         victim = &base[w];
       }
     }
-    stats_.counter("evictions").add();
     if (victim->dirty) {
-      stats_.counter("writebacks").add();
+      ++stats_.writebacks;
       result.writeback = true;
       result.victim_line =
           (victim->tag * num_sets_ + set) * cfg_.line_bytes;

@@ -40,10 +40,20 @@ struct CacheAccess {
 
 class Cache {
  public:
+  /// Everything the cache counts, since the last reset_stats().
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t writebacks = 0;  ///< dirty victims evicted
+
+    double miss_rate() const { return safe_ratio(misses, hits + misses); }
+  };
+
   explicit Cache(const CacheConfig& cfg, std::string name = "l2");
 
   /// Access one cache line containing `addr`. Allocates on miss and reports
-  /// whether a dirty victim was evicted. `requestor` is used only for stats.
+  /// whether a dirty victim was evicted. `requestor` is not used by the tag
+  /// store (per-requestor accounting lives on the buses and DRAM).
   CacheAccess access_line(PAddr addr, bool write, RequestorId requestor);
 
   /// True if the line containing `addr` is currently resident (no state
@@ -54,15 +64,8 @@ class Cache {
   void flush();
 
   const CacheConfig& config() const { return cfg_; }
-  const StatSet& stats() const { return stats_; }
-  StatSet& stats() { return stats_; }
-
-  std::uint64_t hits() const { return stats_.value("hits"); }
-  std::uint64_t misses() const { return stats_.value("misses"); }
-  double miss_rate() const {
-    const double total = static_cast<double>(hits() + misses());
-    return total == 0 ? 0.0 : static_cast<double>(misses()) / total;
-  }
+  const Stats& stats() const { return stats_; }
+  void reset_stats() { stats_ = Stats{}; }
 
  private:
   struct Line {
@@ -83,7 +86,7 @@ class Cache {
   unsigned num_sets_;
   std::vector<Line> lines_;  // num_sets_ * ways, set-major
   std::uint64_t lru_clock_ = 0;
-  StatSet stats_;
+  Stats stats_;
 };
 
 }  // namespace gemmini

@@ -22,31 +22,29 @@ const char* dram_interleave_name(DramInterleave i) {
 }
 
 Dram::Dram(const DramConfig& cfg, trace::Tracer* tracer,
-           fault::Injector* injector, metrics::Metrics* metrics,
-           energy::EnergyMeter* energy)
-    : cfg_(cfg),
-      tracer_(tracer),
-      injector_(injector),
-      metrics_(metrics),
-      energy_(energy) {
+           fault::Injector* injector)
+    : cfg_(cfg), tracer_(tracer), injector_(injector) {
   cfg_.validate();
-  if (energy_ != nullptr) energy_->attach_dram(cfg_.channels);
   channels_.resize(cfg_.channels);
   for (Channel& ch : channels_) ch.banks.assign(cfg_.banks, Bank{});
-  by_channel_.resize(cfg_.channels);
-  for (unsigned c = 0; c < cfg_.channels; ++c) by_channel_[c].channel = c;
-  if (metrics_ != nullptr) {
-    metrics::Registry& reg = metrics_->registry();
-    m_channels_.resize(cfg_.channels);
-    for (unsigned c = 0; c < cfg_.channels; ++c) {
-      const std::string p = "dram.ch" + std::to_string(c);
-      m_channels_[c].accesses = &reg.counter(p + ".accesses");
-      m_channels_[c].bytes = &reg.counter(p + ".bytes");
-      m_channels_[c].row_hits = &reg.counter(p + ".row_hits");
-      m_channels_[c].row_misses = &reg.counter(p + ".row_misses");
-      m_channels_[c].queue_depth = &reg.gauge(p + ".queue_depth");
-    }
+  reset_stats();
+}
+
+Dram::ChannelStats Dram::Stats::totals() const {
+  ChannelStats t;
+  for (const ChannelStats& cs : channels) {
+    t.accesses += cs.accesses;
+    t.bytes += cs.bytes;
+    t.row_hits += cs.row_hits;
+    t.row_misses += cs.row_misses;
+    t.writes += cs.writes;
+    t.refresh_periods += cs.refresh_periods;
+    t.refresh_stall_cycles += cs.refresh_stall_cycles;
+    t.queue_wait_cycles += cs.queue_wait_cycles;
+    t.write_drains += cs.write_drains;
+    t.writes_buffered += cs.writes_buffered;
   }
+  return t;
 }
 
 unsigned Dram::channel_of(PAddr addr) const {
@@ -111,7 +109,7 @@ std::size_t Dram::pick_next(const Channel& ch) const {
 Cycle Dram::issue(unsigned ci, const Request& rq) {
   Channel& ch = channels_[ci];
   Bank& bank = ch.banks[rq.bank];
-  ChannelStats& cs = by_channel_[ci];
+  ChannelStats& cs = stats_.channels[ci];
   const std::uint32_t global_bank = ci * cfg_.banks + rq.bank;
 
   // The bank is busy until its previous access finishes; requests that
@@ -121,7 +119,6 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
       rq.arrival > bank.busy_until ? rq.arrival : bank.busy_until;
   if (bank_ready > rq.arrival) {
     cs.queue_wait_cycles += bank_ready - rq.arrival;
-    stats_.counter("queue_wait_cycles").add(bank_ready - rq.arrival);
     if (tracer_) {
       tracer_->span(trace::EventKind::kDramQueueWait, rq.arrival, bank_ready,
                     rq.bytes, rq.requestor, global_bank);
@@ -139,7 +136,6 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
         cfg_.refresh_latency;
     if (start < window_end) {
       cs.refresh_stall_cycles += window_end - start;
-      stats_.counter("refresh_stall_cycles").add(window_end - start);
       if (tracer_) {
         tracer_->span(trace::EventKind::kDramRefresh, start, window_end,
                       rq.bytes, rq.requestor, global_bank);
@@ -150,41 +146,24 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
       bank.open_valid = false;
       bank.refresh_period = period;
     }
-    // Energy: charge each refresh period the channel has entered exactly
-    // once (period p means p + 1 windows so far, including period 0's).
-    if (energy_ != nullptr && period + 1 > ch.ref_periods_metered) {
-      energy_->dram_refresh(ci, period + 1 - ch.ref_periods_metered);
-      ch.ref_periods_metered = period + 1;
+    if (period + 1 > ch.refresh_periods_seen) {
+      cs.refresh_periods += period + 1 - ch.refresh_periods_seen;
+      ch.refresh_periods_seen = period + 1;
     }
   }
 
   const bool row_hit = bank.open_valid && bank.open_row == rq.row;
   const Cycle access_lat =
       row_hit ? cfg_.row_hit_latency : cfg_.row_miss_latency;
-  stats_.counter(row_hit ? "row_hits" : "row_misses").add();
-  stats_.counter("accesses").add();
-  stats_.counter("bytes").add(rq.bytes);
   cs.accesses += 1;
   cs.bytes += rq.bytes;
+  cs.writes += rq.is_write ? 1 : 0;
   (row_hit ? cs.row_hits : cs.row_misses) += 1;
-  const std::size_t ri = requestor_index(rq.requestor);
-  RequestorStats& rs = by_requestor_[ri];
+  RequestorStats& rs = requestor_stats(rq.requestor);
   rs.accesses += 1;
   rs.bytes += rq.bytes;
   rs.channel_bytes[ci] += rq.bytes;
   (row_hit ? rs.row_hits : rs.row_misses) += 1;
-  if (metrics_ != nullptr) {
-    const ChannelMetrics& cm = m_channels_[ci];
-    cm.accesses->add();
-    cm.bytes->add(rq.bytes);
-    (row_hit ? cm.row_hits : cm.row_misses)->add();
-    const RequestorMetrics& rm = m_requestors_[ri];
-    rm.bytes->add(rq.bytes);
-    (row_hit ? rm.row_hits : rm.row_misses)->add();
-  }
-  if (energy_ != nullptr) {
-    energy_->dram_command(ci, row_hit, rq.is_write, rq.bytes);
-  }
 
   // The channel's data bus serializes only the data *bursts*, so accesses
   // to different banks overlap their activate/CAS latencies; column
@@ -250,14 +229,12 @@ void Dram::write(PAddr addr, std::uint64_t bytes, Cycle t,
   }
   ch.queue.push_back(rq);
   note_queue_depth(ci, t);
-  ChannelStats& cs = by_channel_[ci];
+  ChannelStats& cs = stats_.channels[ci];
   cs.writes_buffered += 1;
-  stats_.counter("writes_buffered").add();
   if (ch.queue.size() >= cfg_.write_queue_depth) {
     // Write-drain mode: the queue hit its depth; burst-issue writes down to
     // the floor so the bus does one drain episode instead of trickling.
     cs.write_drains += 1;
-    stats_.counter("write_drains").add();
     Cycle last_done = t;
     std::uint64_t drained_bytes = 0;
     while (ch.queue.size() > cfg_.write_drain_floor) {
@@ -291,12 +268,9 @@ void Dram::drain_writes() {
 void Dram::note_queue_depth(unsigned ci, Cycle t) {
   Channel& ch = channels_[ci];
   ch.depth.record(t, static_cast<double>(ch.queue.size()));
-  ChannelStats& cs = by_channel_[ci];
+  ChannelStats& cs = stats_.channels[ci];
   cs.avg_queue_depth = ch.depth.mean();
   cs.max_queue_depth = ch.depth.max();
-  if (metrics_ != nullptr) {
-    m_channels_[ci].queue_depth->set(static_cast<double>(ch.queue.size()));
-  }
 }
 
 std::size_t Dram::pending_writes() const {
@@ -310,34 +284,27 @@ void Dram::reset_time() {
     for (Bank& b : ch.banks) b = Bank{};
     ch.busy_until = 0;
     ch.queue.clear();
-    ch.depth.reset();
-    ch.ref_periods_metered = 0;
+    ch.refresh_periods_seen = 0;
   }
   next_seq_ = 0;
-  by_requestor_.clear();
-  m_requestors_.clear();
+}
+
+void Dram::reset_stats() {
+  stats_ = Stats{};
+  stats_.channels.resize(cfg_.channels);
   for (unsigned c = 0; c < cfg_.channels; ++c) {
-    by_channel_[c] = ChannelStats{};
-    by_channel_[c].channel = c;
+    stats_.channels[c].channel = c;
+    channels_[c].depth.reset();
   }
 }
 
-std::size_t Dram::requestor_index(int id) {
-  for (std::size_t i = 0; i < by_requestor_.size(); ++i) {
-    if (by_requestor_[i].requestor == id) return i;
+Dram::RequestorStats& Dram::requestor_stats(int id) {
+  for (RequestorStats& rs : stats_.requestors) {
+    if (rs.requestor == id) return rs;
   }
-  by_requestor_.push_back(RequestorStats{id, 0, 0, 0, 0, {}});
-  by_requestor_.back().channel_bytes.assign(cfg_.channels, 0);
-  if (metrics_ != nullptr) {
-    metrics::Registry& reg = metrics_->registry();
-    const std::string p = "dram.req" + std::to_string(id);
-    RequestorMetrics rm;
-    rm.bytes = &reg.counter(p + ".bytes");
-    rm.row_hits = &reg.counter(p + ".row_hits");
-    rm.row_misses = &reg.counter(p + ".row_misses");
-    m_requestors_.push_back(rm);
-  }
-  return by_requestor_.size() - 1;
+  stats_.requestors.push_back(RequestorStats{id, 0, 0, 0, 0, {}});
+  stats_.requestors.back().channel_bytes.assign(cfg_.channels, 0);
+  return stats_.requestors.back();
 }
 
 }  // namespace gemmini

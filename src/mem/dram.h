@@ -36,9 +36,7 @@
 #include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
-#include "src/energy/energy.h"
 #include "src/fault/fault.h"
-#include "src/metrics/metrics.h"
 #include "src/trace/trace.h"
 
 namespace gemmini {
@@ -127,13 +125,15 @@ class Dram {
         default;
   };
 
-  /// Per-channel controller statistics (since the last reset_time).
+  /// Per-channel controller statistics.
   struct ChannelStats {
     unsigned channel = 0;
     std::uint64_t accesses = 0;
     std::uint64_t bytes = 0;
     std::uint64_t row_hits = 0;
     std::uint64_t row_misses = 0;
+    std::uint64_t writes = 0;            ///< issued writes (of `accesses`)
+    std::uint64_t refresh_periods = 0;   ///< refresh periods entered
     std::uint64_t refresh_stall_cycles = 0;
     std::uint64_t queue_wait_cycles = 0;
     std::uint64_t write_drains = 0;      ///< forced drain episodes
@@ -146,17 +146,20 @@ class Dram {
     friend bool operator==(const ChannelStats&, const ChannelStats&) = default;
   };
 
+  /// Everything the controller counts, since the last reset_stats(). Each
+  /// issued command is counted once per channel and once per requestor.
+  struct Stats {
+    std::vector<ChannelStats> channels;      ///< indexed by channel
+    std::vector<RequestorStats> requestors;  ///< first-seen order
+
+    /// Channel counts summed over all channels (queue depths excluded).
+    ChannelStats totals() const;
+  };
+
   /// `injector` (may be null) receives read completions on the data path so
   /// the fault layer can flip bits and charge ECC correction latency.
-  /// `metrics` (may be null) registers per-channel counters/gauges
-  /// ("dram.ch<N>.*") at construction and per-requestor counters
-  /// ("dram.req<id>.*") lazily as requestors appear. `energy` (may be null)
-  /// prices each issued command (RD/WR + IO, ACT+PRE on row misses, REF per
-  /// refresh period) into the registry — observational only.
   explicit Dram(const DramConfig& cfg, trace::Tracer* tracer = nullptr,
-                fault::Injector* injector = nullptr,
-                metrics::Metrics* metrics = nullptr,
-                energy::EnergyMeter* energy = nullptr);
+                fault::Injector* injector = nullptr);
 
   /// Which channel services `addr`, under the configured interleave policy.
   unsigned channel_of(PAddr addr) const;
@@ -192,18 +195,17 @@ class Dram {
   /// Buffered writes currently queued across all channels.
   std::size_t pending_writes() const;
 
+  /// Requests currently queued on `channel` (the queue-depth gauge).
+  std::size_t queue_depth(unsigned channel) const {
+    return channels_[channel].queue.size();
+  }
+
   const DramConfig& config() const { return cfg_; }
-  const StatSet& stats() const { return stats_; }
-  /// Per-requestor accounting, in first-seen order, since the last
-  /// reset_time (i.e. one Session run).
-  const std::vector<RequestorStats>& requestor_stats() const {
-    return by_requestor_;
-  }
-  /// Per-channel accounting, indexed by channel, since the last reset_time.
-  const std::vector<ChannelStats>& channel_stats() const {
-    return by_channel_;
-  }
+  const Stats& stats() const { return stats_; }
+  /// Drops banks, queues and in-flight timing state; counts are kept.
   void reset_time();
+  /// Zeroes every count (the Soc calls this at run start).
+  void reset_stats();
 
  private:
   struct Bank {
@@ -229,9 +231,9 @@ class Dram {
     Cycle busy_until = 0;          ///< data bus
     std::vector<Request> queue;    ///< pending (buffered writes + in-flight read)
     TimeWeighted depth;            ///< queue-depth accumulator (observational)
-    /// Refresh periods already charged to the energy meter (count of
-    /// periods entered, so period `p` charges `p + 1 - metered` on entry).
-    std::uint64_t ref_periods_metered = 0;
+    /// Refresh periods entered so far (period `p` means `p + 1` windows,
+    /// including period 0's), so each period is counted exactly once.
+    std::uint64_t refresh_periods_seen = 0;
   };
 
   Request make_request(PAddr addr, std::uint64_t bytes, Cycle t,
@@ -241,41 +243,18 @@ class Dram {
   /// Issues one request on channel `ci` (the old flat model's timing math,
   /// plus refresh windows); returns its completion time.
   Cycle issue(unsigned ci, const Request& rq);
-  /// Pops scheduler picks from `ci`'s queue until `target` writes remain.
-  void drain_channel_to(unsigned ci, std::size_t target);
   /// Records the channel's current queue depth at time `t` into the
   /// time-weighted accumulator and mirrors mean/max into ChannelStats.
   void note_queue_depth(unsigned ci, Cycle t);
 
-  std::size_t requestor_index(int id);
-
-  /// Cached registry handles, one set per channel / per requestor slot
-  /// (only populated when metrics are attached).
-  struct ChannelMetrics {
-    metrics::Counter* accesses = nullptr;
-    metrics::Counter* bytes = nullptr;
-    metrics::Counter* row_hits = nullptr;
-    metrics::Counter* row_misses = nullptr;
-    metrics::Gauge* queue_depth = nullptr;
-  };
-  struct RequestorMetrics {
-    metrics::Counter* bytes = nullptr;
-    metrics::Counter* row_hits = nullptr;
-    metrics::Counter* row_misses = nullptr;
-  };
+  RequestorStats& requestor_stats(int id);
 
   DramConfig cfg_;
   trace::Tracer* tracer_;
   fault::Injector* injector_;
-  metrics::Metrics* metrics_;
-  energy::EnergyMeter* energy_;
   std::vector<Channel> channels_;
   std::uint64_t next_seq_ = 0;
-  StatSet stats_;
-  std::vector<RequestorStats> by_requestor_;
-  std::vector<ChannelStats> by_channel_;
-  std::vector<ChannelMetrics> m_channels_;
-  std::vector<RequestorMetrics> m_requestors_;  ///< parallel to by_requestor_
+  Stats stats_;
 };
 
 }  // namespace gemmini

@@ -5,29 +5,18 @@
 namespace gemmini {
 
 MemorySystem::MemorySystem(const MemSysConfig& cfg, trace::Tracer* tracer,
-                           fault::Injector* injector,
-                           metrics::Metrics* metrics,
-                           energy::EnergyMeter* energy)
+                           fault::Injector* injector)
     : cfg_(cfg),
       tracer_(tracer),
-      sysbus_(cfg.system_bus, "sysbus", tracer, trace::Unit::kSystemBus,
-              metrics),
+      sysbus_(cfg.system_bus, "sysbus", tracer, trace::Unit::kSystemBus),
       l2_(std::make_unique<Cache>(cfg.l2, "l2")),
-      membus_(cfg.memory_bus, "membus", tracer, trace::Unit::kMemoryBus,
-              metrics),
-      dram_(cfg.dram, tracer, injector, metrics, energy) {
+      membus_(cfg.memory_bus, "membus", tracer, trace::Unit::kMemoryBus),
+      dram_(cfg.dram, tracer, injector) {
   cfg_.validate();
-  if (metrics != nullptr) {
-    m_l2_hits_ = &metrics->registry().counter("l2.hits");
-    m_l2_misses_ = &metrics->registry().counter("l2.misses");
-  }
 }
 
 Cycle MemorySystem::access(PAddr addr, std::uint64_t bytes, bool write,
                            Cycle t, RequestorId requestor) {
-  stats_.counter("accesses").add();
-  stats_.counter("bytes").add(bytes);
-
   const unsigned line = cfg_.l2.line_bytes;
   Cycle done = t;
   PAddr cur = addr;
@@ -45,16 +34,12 @@ Cycle MemorySystem::access(PAddr addr, std::uint64_t bytes, bool write,
                               : trace::EventKind::kL2Miss,
                        at_l2, in_line, requestor.value);
     }
-    if (m_l2_hits_ != nullptr) {
-      (ca.hit ? m_l2_hits_ : m_l2_misses_)->add();
-    }
     Cycle line_done = at_l2 + cfg_.l2.hit_latency;
     if (!ca.hit) {
       // Refill from DRAM over the memory bus; latency is serial:
       // bus to DRAM, DRAM access, bus back (folded into DRAM burst).
       const Cycle at_dram = membus_.transfer(line_done, line, requestor);
       line_done = dram_.access(cur - (cur % line), line, at_dram, requestor);
-      stats_.counter("l2_refills").add();
     }
     if (ca.writeback) {
       // Dirty victim drains to DRAM in the background; it occupies the
@@ -64,7 +49,6 @@ Cycle MemorySystem::access(PAddr addr, std::uint64_t bytes, bool write,
       // reads by the channel's policy) when write buffering is on.
       const Cycle wb_at = membus_.transfer(line_done, line, requestor);
       dram_.write(ca.victim_line, line, wb_at, requestor);
-      stats_.counter("l2_writebacks").add();
     }
     done = std::max(done, line_done);
     cur += in_line;
@@ -91,6 +75,13 @@ void MemorySystem::reset_time() {
 void MemorySystem::reset_all() {
   reset_time();
   l2_->flush();
+}
+
+void MemorySystem::reset_stats() {
+  sysbus_.reset_stats();
+  membus_.reset_stats();
+  l2_->reset_stats();
+  dram_.reset_stats();
 }
 
 }  // namespace gemmini

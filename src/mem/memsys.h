@@ -18,13 +18,11 @@
 #include <cstdint>
 #include <memory>
 
-#include "src/base/stats.h"
 #include "src/base/types.h"
 #include "src/mem/bus.h"
 #include "src/mem/cache.h"
 #include "src/mem/dram.h"
 #include "src/mem/phys_mem.h"
-#include "src/metrics/metrics.h"
 #include "src/trace/trace.h"
 
 namespace gemmini {
@@ -47,15 +45,12 @@ class MemorySystem {
  public:
   /// `tracer` (may be null) is shared with both buses and the DRAM model;
   /// the memory system itself emits the L2 hit/miss events. `injector` (may
-  /// be null) reaches the DRAM read path for fault injection. `metrics`
-  /// (may be null) is shared the same way; the memory system owns the
-  /// `l2.hits`/`l2.misses` counters. `energy` (may be null) reaches the
-  /// DRAM controller's command-level meter.
+  /// be null) reaches the DRAM read path for fault injection. The memory
+  /// system counts nothing itself: its buses, L2 and DRAM each keep their
+  /// own typed stats.
   explicit MemorySystem(const MemSysConfig& cfg,
                         trace::Tracer* tracer = nullptr,
-                        fault::Injector* injector = nullptr,
-                        metrics::Metrics* metrics = nullptr,
-                        energy::EnergyMeter* energy = nullptr);
+                        fault::Injector* injector = nullptr);
 
   /// Timing access: `bytes` at physical address `addr`, issued at cycle `t`.
   /// Returns the completion cycle. Splits across cache lines; state (cache
@@ -91,19 +86,17 @@ class MemorySystem {
   /// Full reset: timing + cache tags. Data in PhysMem persists.
   void reset_all();
 
-  const StatSet& stats() const { return stats_; }
+  /// Zeroes the counts of both buses, the L2 and DRAM.
+  void reset_stats();
 
  private:
   MemSysConfig cfg_;
   trace::Tracer* tracer_;
-  metrics::Counter* m_l2_hits_ = nullptr;
-  metrics::Counter* m_l2_misses_ = nullptr;
   PhysMem phys_;
   Bus sysbus_;
   std::unique_ptr<Cache> l2_;
   Bus membus_;
   Dram dram_;
-  StatSet stats_;
 };
 
 }  // namespace gemmini

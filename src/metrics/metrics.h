@@ -1,18 +1,19 @@
 #pragma once
-// metrics:: — the zero-overhead-off metric registry and cycle-windowed
-// time-series sampler.
+// metrics:: — the metric registry and cycle-windowed time-series sampler.
 //
-// The registry follows the trace::Tracer contract exactly: timed components
-// take a possibly-null `metrics::Metrics*` as a trailing constructor
-// parameter, cache the Counter*/Gauge* handles they need at construction,
-// and guard every hot-path update with one predictable null check. A null
-// pointer means "metrics off" and the instrumented code paths cost nothing
-// but that branch — golden cycle counts are bit-identical either way,
-// because metrics (like tracing) are observational: they never feed back
-// into timing decisions.
+// The registry is a view, not a second set of counts. Timed components count
+// each event once into their own typed `Stats` structs and know nothing of
+// metrics; only the Soc holds a (possibly null) `metrics::Metrics*`. Just
+// before each sampler snapshot and at the end of a run the Soc writes the
+// published names ("dram.ch<N>.*", "sysbus.*", "l2.*", "core<N>.tlb.*", the
+// queue-depth gauges, ...) from those structs into the registry. A null
+// pointer means "metrics off" and costs the run nothing — golden cycle
+// counts are bit-identical either way, because metrics (like tracing) are
+// observational: they never feed back into timing decisions.
 //
 // Three instrument kinds:
-//  * Counter   — monotone uint64 (bytes moved, MACs retired, row hits).
+//  * Counter   — monotone uint64 (bytes moved, MACs retired, row hits);
+//    published counters are `set` to the component's running total.
 //  * Gauge     — last-written double (queue depth, KV-cache footprint).
 //  * Histogram — log2-bucketed uint64 samples (per-step cycle costs).
 //    Bucket 0 holds zeros; bucket i (1 <= i <= n-2) holds values whose
@@ -25,13 +26,14 @@
 // `finish()` closes one final partial window, so for every counter
 // `sum(deltas) == counter.value()` exactly — the reconciliation invariant
 // bench --metrics and the unit tests gate on. Metrics registered mid-run
-// (lazily created per-requestor counters) are zero-padded back to window 0.
+// (per-requestor counters, published once a requestor first appears) are
+// zero-padded back to window 0.
 //
 // Determinism: the registry is std::map-backed, so iteration order (and
 // therefore every exported timeline, JSON section and OpenMetrics document)
-// is name-ordered and independent of registration order. std::map node
-// stability is load-bearing: Registry::reset() zeroes values *in place*, so
-// the handle pointers components cached at construction survive run resets.
+// is name-ordered and independent of registration order. Registry::reset()
+// zeroes values *in place*, so entries published in one run stay listed (at
+// zero) in the next, and handles held by the serving layer stay valid.
 
 #include <bit>
 #include <cstdint>
@@ -47,6 +49,7 @@ namespace gemmini::metrics {
 class Counter {
  public:
   void add(std::uint64_t n = 1) { value_ += n; }
+  void set(std::uint64_t v) { value_ = v; }
   std::uint64_t value() const { return value_; }
   void reset() { value_ = 0; }
 
@@ -209,6 +212,10 @@ class TimeSeriesSampler {
     next_ = interval_;
   }
 
+  /// True when advance_to(t) would close at least one window — the cue for
+  /// the Soc to publish component counts into the registry first.
+  bool due(Cycle t) const { return interval_ != 0 && t >= next_; }
+
   /// Closes every window boundary at or before `t`. Callers drive this
   /// with a non-decreasing time (the SoC event-merge frontier), which is
   /// what makes window attribution deterministic.
@@ -262,9 +269,8 @@ class TimeSeriesSampler {
   std::map<std::string, std::vector<double>> gauges_;
 };
 
-/// The handle threaded through the timed stack (Soc -> MemorySystem ->
-/// Bus/Dram, Accelerator -> DMA/TLB). Owns the registry and the sampler;
-/// the SoC drives the run lifecycle.
+/// Owns the registry and the sampler. The Soc drives the run lifecycle and
+/// publishes its components' counts into the registry at window close.
 class Metrics {
  public:
   explicit Metrics(const MetricsConfig& cfg)

@@ -65,26 +65,16 @@ Session::Session(const SocConfig& cfg, bool functional, std::uint64_t seed,
   }
   if (metrics_cfg.enabled) {
     metrics_ = std::make_unique<metrics::Metrics>(metrics_cfg);
-    metrics_visible_ = true;
   }
   if (energy_cfg.active()) {
-    if (!metrics_) {
-      // The meter accumulates into a metrics registry; when the user did
-      // not ask for metrics, back it with a hidden one (no sampling, no
-      // export, invisible in Report::metrics).
-      metrics::MetricsConfig hidden;
-      hidden.enabled = true;
-      hidden.sample_interval_cycles = 0;
-      metrics_ = std::make_unique<metrics::Metrics>(hidden);
-    }
     const energy::EnergyPrices& p = energy_cfg.prices;
     const double static_mw =
         p.static_mw > 0
             ? p.static_mw
             : (p.static_from_model ? PowerModel{}.accelerator_mw(cfg.accel)
                                    : 0.0);
-    meter_ = std::make_unique<energy::EnergyMeter>(
-        energy_cfg, static_mw, cfg.accel.clock_ghz, metrics_->registry());
+    meter_ = std::make_unique<energy::EnergyMeter>(energy_cfg, static_mw,
+                                                   cfg.accel.clock_ghz);
   }
   soc_ = std::make_unique<Soc>(cfg, tracer_.get(), metrics_.get(),
                                meter_.get());
@@ -230,7 +220,7 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
     core.array_utilization = r.accel.utilization(config().accel, r.finish);
     const auto& ts =
         soc_->accelerator(static_cast<unsigned>(i)).translation();
-    core.private_tlb_hit_rate = ts.private_tlb().hit_rate();
+    core.private_tlb_hit_rate = ts.private_tlb().stats().hit_rate();
     core.effective_private_tlb_hit_rate = ts.effective_private_hit_rate();
     rep.per_core.push_back(std::move(core));
 
@@ -250,30 +240,28 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
     rep.array_utilization = rep.per_core.front().array_utilization;
   }
 
-  const auto& l2 = soc_->memory().l2();
+  const MemorySystem& mem = soc_->memory();
+  const Cache::Stats& l2 = mem.l2().stats();
   rep.substrate.l2_miss_rate = l2.miss_rate();
-  rep.substrate.l2_hits = l2.hits();
-  rep.substrate.l2_misses = l2.misses();
+  rep.substrate.l2_hits = l2.hits;
+  rep.substrate.l2_misses = l2.misses;
 
   // Merge the per-requestor accounting of both buses and DRAM into one
   // table, sorted by requestor id for deterministic reports.
   std::map<int, RequestorTraffic> traffic;
-  for (const Bus::RequestorStats& rs :
-       soc_->memory().system_bus().requestor_stats()) {
+  for (const Bus::RequestorStats& rs : mem.system_bus().stats().requestors) {
     RequestorTraffic& t = traffic[rs.requestor];
     t.requestor = rs.requestor;
     t.sysbus_bytes = rs.bytes;
     t.sysbus_wait_cycles = rs.wait_cycles;
   }
-  for (const Bus::RequestorStats& rs :
-       soc_->memory().memory_bus().requestor_stats()) {
+  for (const Bus::RequestorStats& rs : mem.memory_bus().stats().requestors) {
     RequestorTraffic& t = traffic[rs.requestor];
     t.requestor = rs.requestor;
     t.membus_bytes = rs.bytes;
     t.membus_wait_cycles = rs.wait_cycles;
   }
-  for (const Dram::RequestorStats& rs :
-       soc_->memory().dram().requestor_stats()) {
+  for (const Dram::RequestorStats& rs : mem.dram().stats().requestors) {
     RequestorTraffic& t = traffic[rs.requestor];
     t.requestor = rs.requestor;
     t.dram_bytes = rs.bytes;
@@ -290,7 +278,7 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
     }
     rep.substrate.per_requestor.push_back(std::move(t));
   }
-  for (const Dram::ChannelStats& cs : soc_->memory().dram().channel_stats()) {
+  for (const Dram::ChannelStats& cs : mem.dram().stats().channels) {
     DramChannelTraffic ch;
     ch.channel = cs.channel;
     ch.accesses = cs.accesses;
@@ -305,16 +293,9 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
     ch.max_queue_depth = cs.max_queue_depth;
     rep.substrate.dram_channels.push_back(ch);
   }
-  std::uint64_t row_hits = 0, row_misses = 0;
-  for (const DramChannelTraffic& ch : rep.substrate.dram_channels) {
-    row_hits += ch.row_hits;
-    row_misses += ch.row_misses;
-  }
+  const Dram::ChannelStats dram = mem.dram().stats().totals();
   rep.substrate.dram_row_hit_rate =
-      (row_hits + row_misses) == 0
-          ? 0.0
-          : static_cast<double>(row_hits) /
-                static_cast<double>(row_hits + row_misses);
+      safe_ratio(dram.row_hits, dram.row_hits + dram.row_misses);
 
   if (tracing()) {
     // Drop accounting is exact and surfaces even when nothing could be
@@ -337,11 +318,13 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
     last_finish_ = rep.cycles;
     // Surface the headline figure through the registry so OpenMetrics
     // exports carry it without a Report in hand.
-    metrics_->registry().gauge("energy.avg_power_watts")
-        .set(rep.energy.avg_power_watts);
+    if (metrics_) {
+      metrics_->registry().gauge("energy.avg_power_watts")
+          .set(rep.energy.avg_power_watts);
+    }
   }
 
-  if (metrics_ && metrics_visible_) {
+  if (metrics_) {
     rep.metrics = snapshot_metrics(*metrics_);
     if (!metrics_->config().export_path.empty()) {
       metrics::write_openmetrics(metrics_->registry(),
@@ -354,15 +337,6 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
 }
 
 namespace {
-
-// Registry lookup that treats "never created" as zero: a price of zero
-// means the meter skipped the counter entirely.
-std::uint64_t counter_or_zero(const metrics::Registry& reg,
-                              const std::string& name) {
-  const auto& all = reg.counters();
-  auto it = all.find(name);
-  return it == all.end() ? 0 : it->second.value();
-}
 
 bool is_energy_dynamic_series(const std::string& name) {
   // Per-channel DRAM totals plus per-core totals partition the dynamic
@@ -377,33 +351,24 @@ bool is_energy_dynamic_series(const std::string& name) {
 EnergyReport Session::derive_energy(Cycle cycles) const {
   EnergyReport e;
   e.enabled = true;
-  const metrics::Registry& reg = metrics_->registry();
+  const energy::Tally t = soc_->energy_tally();
 
-  e.dram_act_fj = counter_or_zero(reg, "energy.dram.act_fj");
-  e.dram_pre_fj = counter_or_zero(reg, "energy.dram.pre_fj");
-  e.dram_rd_fj = counter_or_zero(reg, "energy.dram.rd_fj");
-  e.dram_wr_fj = counter_or_zero(reg, "energy.dram.wr_fj");
-  e.dram_ref_fj = counter_or_zero(reg, "energy.dram.ref_fj");
-  e.dram_io_fj = counter_or_zero(reg, "energy.dram.io_fj");
+  e.dram_act_fj = t.dram_act;
+  e.dram_pre_fj = t.dram_pre;
+  e.dram_rd_fj = t.dram_rd;
+  e.dram_wr_fj = t.dram_wr;
+  e.dram_ref_fj = t.dram_ref;
+  e.dram_io_fj = t.dram_io;
   e.dram_fj = e.dram_act_fj + e.dram_pre_fj + e.dram_rd_fj + e.dram_wr_fj +
               e.dram_ref_fj + e.dram_io_fj;
+  e.dram_channel_fj = t.dram_channel;
 
-  for (unsigned ch = 0; ch < config().mem.dram.channels; ++ch) {
-    e.dram_channel_fj.push_back(
-        counter_or_zero(reg, "energy.dram.ch" + std::to_string(ch) + ".fj"));
-  }
-
-  for (unsigned core = 0; core < config().cores; ++core) {
-    const std::string base = "energy.core" + std::to_string(core) + ".";
-    const std::uint64_t exec = counter_or_zero(reg, base + "exec_fj");
-    const std::uint64_t dma = counter_or_zero(reg, base + "dma_fj");
-    const std::uint64_t sp = counter_or_zero(reg, base + "sp_fj");
-    const std::uint64_t acc = counter_or_zero(reg, base + "acc_fj");
-    e.exec_fj += exec;
-    e.dma_fj += dma;
-    e.sp_fj += sp;
-    e.acc_fj += acc;
-    e.core_fj.push_back(exec + dma + sp + acc);
+  for (const energy::Tally::Core& c : t.cores) {
+    e.exec_fj += c.exec;
+    e.dma_fj += c.dma;
+    e.sp_fj += c.sp;
+    e.acc_fj += c.acc;
+    e.core_fj.push_back(c.exec + c.dma + c.sp + c.acc);
   }
 
   e.static_fj = cycles * meter_->static_fj_per_cycle();
@@ -415,7 +380,7 @@ EnergyReport Session::derive_energy(Cycle cycles) const {
       static_cast<double>(cycles) / (config().accel.clock_ghz * 1e9);
   e.edp_joule_seconds = e.total_j * seconds;
 
-  if (metrics_->sampling()) {
+  if (metrics_ && metrics_->sampling()) {
     const metrics::TimeSeriesSampler& s = metrics_->sampler();
     const Cycle interval = s.interval();
     const std::size_t windows = s.windows();

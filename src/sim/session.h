@@ -140,9 +140,10 @@ class Session {
     /// from the estimate-layer power model (or an explicit override), all
     /// folded into Report::energy. Observational only — cycle counts are
     /// bit-identical on and off, and an all-zero price table produces a
-    /// Report byte-identical to a session built without energy. Rides the
-    /// metrics registry: when `.metrics()` was not also configured, a
-    /// hidden registry is created that never surfaces in Report::metrics.
+    /// Report byte-identical to a session built without energy. The meter
+    /// prices the components' own counts, so it needs no metrics registry;
+    /// with `.metrics()` the "energy.*" counters (and the power-over-time
+    /// timeline) are published there too.
     Builder& energy(energy::EnergyConfig cfg) {
       energy_ = std::move(cfg);
       return *this;
@@ -267,9 +268,7 @@ class Session {
   // ---- Metrics -------------------------------------------------------------
   /// True iff the session was built with `.metrics(...)` and an enabled
   /// config. The registry holds the most recent run (runs reset it first).
-  /// A hidden registry created only to back the energy meter does not
-  /// count: metrics the user never asked for stay invisible.
-  bool metering() const { return metrics_ != nullptr && metrics_visible_; }
+  bool metering() const { return metrics_ != nullptr; }
   /// The live metrics collector. GEMMINI_CHECKs that metering is on.
   metrics::Metrics& metrics() const;
   /// The most recent run's registry rendered as OpenMetrics/Prometheus
@@ -308,8 +307,9 @@ class Session {
                      const std::vector<CoreResult>& results);
   Report make_report(const std::string& model_name, Cycle cpu_baseline,
                      const std::vector<CoreResult>& results);
-  /// Derives the energy section bit-exactly from the registry's "energy.*"
-  /// counters (plus the static rate x `cycles`); meter_ must be non-null.
+  /// Derives the energy section bit-exactly from the SoC's priced counts
+  /// (plus the static rate x `cycles`) and, when sampling, the "energy.*"
+  /// timelines; meter_ must be non-null.
   EnergyReport derive_energy(Cycle cycles) const;
   trace::PerfettoOptions perfetto_options(int indent) const;
 
@@ -322,13 +322,9 @@ class Session {
   // stable across Session moves.
   std::unique_ptr<trace::RingBufferSink> trace_sink_;
   std::unique_ptr<trace::Tracer> tracer_;
-  // Heap-allocated for the same reason as the Tracer: components cache
-  // Counter*/Gauge* handles into the registry, which must survive moves.
+  // Heap-allocated for the same reason as the Tracer: the SoC holds
+  // pointers to both, which must survive Session moves.
   std::unique_ptr<metrics::Metrics> metrics_;
-  /// False when metrics_ exists only as the energy meter's hidden backing
-  /// registry (user never called .metrics()): Report::metrics stays
-  /// disabled and metering() reports false.
-  bool metrics_visible_ = false;
   std::unique_ptr<energy::EnergyMeter> meter_;
   /// SoC finish of the most recent run (drives the Perfetto power track's
   /// final partial window).

@@ -33,10 +33,11 @@ Soc::Soc(const SocConfig& cfg, trace::Tracer* tracer,
     : cfg_(cfg),
       tracer_(tracer),
       metrics_(metrics),
+      energy_(energy),
       injector_(cfg.faults.enabled
                     ? std::make_unique<fault::Injector>(cfg.faults, tracer)
                     : nullptr),
-      mem_(cfg.mem, tracer, injector_.get(), metrics, energy),
+      mem_(cfg.mem, tracer, injector_.get()),
       frames_(0x8000'0000ull),
       ptw_(cfg.accel.translation.ptw, mem_, RequestorId{kPtwRequestor}) {
   cfg_.validate();
@@ -47,8 +48,75 @@ Soc::Soc(const SocConfig& cfg, trace::Tracer* tracer,
         /*va_base=*/0x1'0000'0000ull + c * 0x10'0000'0000ull));
     accels_.push_back(std::make_unique<Accelerator>(
         cfg_.accel, mem_, ptw_, RequestorId{static_cast<int>(c)}, tracer,
-        injector_.get(), metrics, energy));
+        injector_.get()));
   }
+  // The published names exist (at zero) before the first run.
+  if (metrics_) publish_metrics();
+}
+
+void Soc::publish_metrics() {
+  metrics::Registry& reg = metrics_->registry();
+  const auto put = [&reg](const std::string& name, std::uint64_t v) {
+    reg.counter(name).set(v);
+  };
+  const Dram& dram = mem_.dram();
+  for (const Dram::ChannelStats& cs : dram.stats().channels) {
+    const std::string p = "dram.ch" + std::to_string(cs.channel);
+    put(p + ".accesses", cs.accesses);
+    put(p + ".bytes", cs.bytes);
+    put(p + ".row_hits", cs.row_hits);
+    put(p + ".row_misses", cs.row_misses);
+    reg.gauge(p + ".queue_depth")
+        .set(static_cast<double>(dram.queue_depth(cs.channel)));
+  }
+  for (const Dram::RequestorStats& rs : dram.stats().requestors) {
+    const std::string p = "dram.req" + std::to_string(rs.requestor);
+    put(p + ".bytes", rs.bytes);
+    put(p + ".row_hits", rs.row_hits);
+    put(p + ".row_misses", rs.row_misses);
+  }
+  for (const Bus* bus : {&mem_.system_bus(), &mem_.memory_bus()}) {
+    const std::string& name = bus->name();
+    put(name + ".bytes", bus->stats().bytes());
+    put(name + ".wait_cycles", bus->stats().wait_cycles());
+    for (const Bus::RequestorStats& rs : bus->stats().requestors) {
+      const std::string p = name + ".req" + std::to_string(rs.requestor);
+      put(p + ".bytes", rs.bytes);
+      put(p + ".wait_cycles", rs.wait_cycles);
+    }
+  }
+  put("l2.hits", mem_.l2().stats().hits);
+  put("l2.misses", mem_.l2().stats().misses);
+  for (unsigned c = 0; c < cfg_.cores; ++c) {
+    const Accelerator& a = *accels_[c];
+    const std::string p = "core" + std::to_string(c);
+    put(p + ".exec.macs", a.report().macs);
+    put(p + ".exec.tiles", a.report().tiles);
+    put(p + ".dma.load_bytes", a.dma().stats().load_bytes);
+    put(p + ".dma.store_bytes", a.dma().stats().store_bytes);
+    const Tlb::Stats& tlb = a.translation().private_tlb().stats();
+    put(p + ".tlb.hits", tlb.hits);
+    put(p + ".tlb.misses", tlb.misses);
+    put(p + ".tlb.filter_hits", a.translation().stats().filter_hits);
+  }
+  if (energy_) energy_tally().publish(reg);
+}
+
+energy::Tally Soc::energy_tally() const {
+  GEMMINI_CHECK_MSG(energy_ != nullptr, "energy_tally(): no energy meter");
+  std::vector<energy::DramCounts> channels;
+  for (const Dram::ChannelStats& cs : mem_.dram().stats().channels) {
+    channels.push_back({cs.accesses - cs.writes, cs.writes, cs.row_misses,
+                        cs.bytes, cs.refresh_periods});
+  }
+  std::vector<energy::CoreCounts> cores;
+  for (const auto& a : accels_) {
+    const DmaEngine::Stats& dma = a->dma().stats();
+    cores.push_back({a->report().macs, dma.load_bytes + dma.store_bytes,
+                     a->scratchpad().stats().rows,
+                     a->accumulator().stats().rows});
+  }
+  return energy_->price(channels, cores);
 }
 
 void Soc::set_functional(bool functional) {
@@ -154,8 +222,11 @@ std::vector<CoreResult> Soc::run_parallel(
   for (std::size_t i = 0; i < streams.size(); ++i) {
     execs[i].stream = streams[i];
     execs[i].next_os_switch = cfg_.os.period_cycles;
-    accels_[i]->reset_report();
   }
+  // Every count below this run's report starts from zero.
+  mem_.reset_stats();
+  ptw_.reset_stats();
+  for (auto& a : accels_) a->reset_stats();
   if (metrics_) metrics_->begin_run();
 
   // Event-merge loop: always advance the core with the earliest next event.
@@ -185,7 +256,10 @@ std::vector<CoreResult> Soc::run_parallel(
     // Close any sampler windows the frontier has passed before issuing the
     // work that starts at best_t; the frontier is non-decreasing, so window
     // attribution is deterministic.
-    if (metrics_) metrics_->advance_to(best_t);
+    if (metrics_ && metrics_->sampler().due(best_t)) {
+      publish_metrics();
+      metrics_->advance_to(best_t);
+    }
     next_event[best] = advance(execs[best], static_cast<unsigned>(best));
   }
 
@@ -208,7 +282,10 @@ std::vector<CoreResult> Soc::run_parallel(
   }
   // The final (partial) sampler window closes after drain_writes() above,
   // so every counter's timeline sums exactly to its end-of-run total.
-  if (metrics_) metrics_->finish_run(soc_finish);
+  if (metrics_) {
+    publish_metrics();
+    metrics_->finish_run(soc_finish);
+  }
   if (tracer_) tracer_->clear_context();
   return results;
 }

@@ -18,6 +18,7 @@
 #include "src/accel/accelerator.h"
 #include "src/arch/config.h"
 #include "src/cpu/cost_model.h"
+#include "src/energy/energy.h"
 #include "src/fault/fault.h"
 #include "src/mem/memsys.h"
 #include "src/metrics/metrics.h"
@@ -77,12 +78,13 @@ class Soc {
   /// unit, translation) and the SoC-level step/OS accounting. The SoC sets
   /// the tracer's (core, layer) context before advancing a core, so events
   /// on shared substrate are attributed to the issuing core.
-  /// `metrics` follows the same contract (null = metrics off, observational
-  /// only): components register their counters/gauges at construction and
-  /// the SoC drives the TimeSeriesSampler from the event-merge frontier,
-  /// which is non-decreasing — so timelines are deterministic.
-  /// `energy` (may be null = energy off) is threaded to the DRAM controller
-  /// and each core's accelerator (exec MACs, DMA bytes, SRAM rows).
+  /// `metrics` (null = metrics off, observational only) and `energy`
+  /// (null = energy off) stop here: components below the SoC count events
+  /// into their own typed stats, which the SoC zeroes at run start. Just
+  /// before each sampler snapshot and at the end of a run the SoC publishes
+  /// those counts (and, with `energy`, their priced "energy.*" counters)
+  /// into the registry. The sampler is driven from the event-merge
+  /// frontier, which is non-decreasing — so timelines are deterministic.
   explicit Soc(const SocConfig& cfg, trace::Tracer* tracer = nullptr,
                metrics::Metrics* metrics = nullptr,
                energy::EnergyMeter* energy = nullptr);
@@ -101,6 +103,10 @@ class Soc {
   /// The attached metrics handle, or nullptr when metrics are off.
   metrics::Metrics* metrics() { return metrics_; }
   const metrics::Metrics* metrics() const { return metrics_; }
+
+  /// The most recent run's dynamic energy, priced from the components'
+  /// counts. Requires the SoC to have been built with an energy meter.
+  energy::Tally energy_tally() const;
 
   void set_functional(bool functional);
 
@@ -136,10 +142,13 @@ class Soc {
   /// instruction). Returns the core's next event time.
   Cycle advance(CoreExec& ce, unsigned core);
   void maybe_os_switch(CoreExec& ce, unsigned core);
+  /// Writes every component's counts under their registry names.
+  void publish_metrics();
 
   SocConfig cfg_;
   trace::Tracer* tracer_;
   metrics::Metrics* metrics_;
+  energy::EnergyMeter* energy_;
   /// Built before mem_ / the accelerators so it can be threaded through
   /// their constructors; null when faults are disabled.
   std::unique_ptr<fault::Injector> injector_;

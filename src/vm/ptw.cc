@@ -35,9 +35,9 @@ PageTableWalker::WalkResult PageTableWalker::walk(const AddressSpace& as,
   if (pte_cache_.size() != cfg_.pte_cache_entries) {
     pte_cache_.assign(cfg_.pte_cache_entries, PteCacheEntry{});
   }
-  stats_.counter("walks").add();
+  ++stats_.walks;
   Cycle now = (t > busy_until_ ? t : busy_until_) + cfg_.setup_latency;
-  if (busy_until_ > t) stats_.counter("queue_cycles").add(busy_until_ - t);
+  if (busy_until_ > t) stats_.queue_cycles += busy_until_ - t;
 
   for (unsigned level = 0; level < kPtLevels; ++level) {
     const PAddr pte = as.pte_addr(va, level);
@@ -45,12 +45,11 @@ PageTableWalker::WalkResult PageTableWalker::walk(const AddressSpace& as,
     // region (1-cycle lookup); leaf PTEs always load from memory.
     if (level + 1 < kPtLevels && pte_cache_lookup(pte)) {
       now += 1;
-      stats_.counter("pte_cache_hits").add();
       continue;
     }
     now = mem_.access(pte, sizeof(std::uint64_t), /*write=*/false, now,
                       requestor_);
-    stats_.counter("pte_loads").add();
+    ++stats_.pte_loads;
     if (level + 1 < kPtLevels) pte_cache_fill(pte);
   }
   busy_until_ = now;

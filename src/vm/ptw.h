@@ -8,7 +8,6 @@
 // *shared memory system*, which means hot PTEs naturally get cached in L2 —
 // the same effect the RTL exhibits.
 
-#include "src/base/stats.h"
 #include "src/base/types.h"
 #include "src/mem/memsys.h"
 #include "src/vm/page_table.h"
@@ -24,6 +23,13 @@ struct PtwConfig {
 
 class PageTableWalker {
  public:
+  /// Everything the walker counts, since the last reset_stats().
+  struct Stats {
+    std::uint64_t walks = 0;
+    std::uint64_t queue_cycles = 0;  ///< waiting behind an earlier walk
+    std::uint64_t pte_loads = 0;     ///< PTE reads sent to memory
+  };
+
   PageTableWalker(const PtwConfig& cfg, MemorySystem& mem,
                   RequestorId requestor)
       : cfg_(cfg), mem_(mem), requestor_(requestor) {}
@@ -37,8 +43,9 @@ class PageTableWalker {
   /// A single walker port: concurrent walks queue behind each other.
   WalkResult walk(const AddressSpace& as, VAddr va, Cycle t);
 
-  const StatSet& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
   void reset_time() { busy_until_ = 0; }
+  void reset_stats() { stats_ = Stats{}; }
 
  private:
   bool pte_cache_lookup(PAddr pte_addr);
@@ -48,7 +55,7 @@ class PageTableWalker {
   MemorySystem& mem_;
   RequestorId requestor_;
   Cycle busy_until_ = 0;
-  StatSet stats_;
+  Stats stats_;
 
   struct PteCacheEntry {
     bool valid = false;

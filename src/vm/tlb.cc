@@ -5,17 +5,7 @@
 namespace gemmini {
 
 Tlb::Tlb(const TlbConfig& cfg, std::string name, Cycle profile_window)
-    : cfg_(cfg),
-      name_(std::move(name)),
-      read_requests_(stats_.counter("read_requests")),
-      write_requests_(stats_.counter("write_requests")),
-      read_same_page_(stats_.counter("read_same_page")),
-      write_same_page_(stats_.counter("write_same_page")),
-      hits_(stats_.counter("hits")),
-      misses_(stats_.counter("misses")),
-      fastpath_hits_(stats_.counter("fastpath_hits")),
-      fastpath_misses_(stats_.counter("fastpath_misses")),
-      series_(profile_window) {
+    : cfg_(cfg), name_(std::move(name)), series_(profile_window) {
   cfg_.validate();
   entries_.assign(cfg_.entries, Entry{});
 }
@@ -24,16 +14,16 @@ std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write,
                                          Cycle t) {
   // Consecutive same-page profiling (pre-lookup, per request stream).
   if (is_write) {
-    write_requests_.add();
+    ++stats_.write_requests;
     if (have_last_write_ && last_write_vpn_ == vpn) {
-      write_same_page_.add();
+      ++stats_.write_same_page;
     }
     have_last_write_ = true;
     last_write_vpn_ = vpn;
   } else {
-    read_requests_.add();
+    ++stats_.read_requests;
     if (have_last_read_ && last_read_vpn_ == vpn) {
-      read_same_page_.add();
+      ++stats_.read_same_page;
     }
     have_last_read_ = true;
     last_read_vpn_ = vpn;
@@ -50,14 +40,13 @@ std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write,
     Entry& e = entries_[last.idx];
     if (e.valid && e.vpn == vpn) {
       e.lru = ++lru_clock_;
-      hits_.add();
-      fastpath_hits_.add();
+      ++stats_.hits;
+      ++stats_.fastpath_hits;
       series_.record(t, /*event=*/false);
       return e.ppn;
     }
     last.valid = false;  // stale: entry was evicted or remapped
   }
-  fastpath_misses_.add();
 
   const unsigned set = set_of(vpn);
   Entry* base = &entries_[static_cast<std::size_t>(set) * set_ways()];
@@ -66,7 +55,7 @@ std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write,
     Entry& e = base[w];
     if (e.valid && e.vpn == vpn) {
       e.lru = lru_clock_;
-      hits_.add();
+      ++stats_.hits;
       last.valid = true;
       last.vpn = vpn;
       last.idx = static_cast<std::size_t>(set) * set_ways() + w;
@@ -74,7 +63,7 @@ std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write,
       return e.ppn;
     }
   }
-  misses_.add();
+  ++stats_.misses;
   series_.record(t, /*event=*/true);
   return std::nullopt;
 }
@@ -99,7 +88,6 @@ void Tlb::fill(std::uint64_t vpn, std::uint64_t ppn) {
         victim = &base[w];
       }
     }
-    stats_.counter("evictions").add();
   }
   victim->valid = true;
   victim->vpn = vpn;
@@ -114,17 +102,6 @@ void Tlb::flush() {
   // gone, and a post-flush streak must re-walk like the RTL would.
   last_read_hit_ = LastHit{};
   last_write_hit_ = LastHit{};
-  stats_.counter("flushes").add();
-}
-
-double Tlb::consecutive_same_page_rate(bool writes) const {
-  const std::uint64_t total =
-      stats_.value(writes ? "write_requests" : "read_requests");
-  const std::uint64_t same =
-      stats_.value(writes ? "write_same_page" : "read_same_page");
-  return total <= 1 ? 0.0
-                    : static_cast<double>(same) /
-                          static_cast<double>(total - 1);
 }
 
 }  // namespace gemmini

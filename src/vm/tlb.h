@@ -34,13 +34,32 @@ struct TlbConfig {
 
 class Tlb {
  public:
+  /// Everything the TLB counts, since the last reset_stats().
+  struct Stats {
+    std::uint64_t read_requests = 0;
+    std::uint64_t write_requests = 0;
+    std::uint64_t read_same_page = 0;   ///< same page as the previous read
+    std::uint64_t write_same_page = 0;  ///< same page as the previous write
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    /// Hits satisfied by the one-entry last-page filter in front of the set
+    /// scan (a subset of `hits`: the filter is a host-side fast path with
+    /// identical architectural behavior, not a modeled structure).
+    std::uint64_t fastpath_hits = 0;
+
+    double hit_rate() const { return safe_ratio(hits, hits + misses); }
+    /// Fraction of consecutive read (write) requests to the same page.
+    double consecutive_same_page_rate(bool writes) const {
+      const std::uint64_t total = writes ? write_requests : read_requests;
+      return total <= 1
+                 ? 0.0
+                 : safe_ratio(writes ? write_same_page : read_same_page,
+                              total - 1);
+    }
+  };
+
   explicit Tlb(const TlbConfig& cfg, std::string name = "tlb",
                Cycle profile_window = 100000);
-
-  // The cached Counter& members below alias this object's own stats_ map; a
-  // copy or move would silently keep pointing at the source's counters.
-  Tlb(const Tlb&) = delete;
-  Tlb& operator=(const Tlb&) = delete;
 
   /// Looks up `vpn` at time `t`. Returns the mapped PPN on hit. Records the
   /// access in the profiling series either way.
@@ -54,22 +73,13 @@ class Tlb {
   void flush();
 
   const TlbConfig& config() const { return cfg_; }
-  const StatSet& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
   const TimeSeries& miss_series() const { return series_; }
-
-  std::uint64_t hits() const { return stats_.value("hits"); }
-  std::uint64_t misses() const { return stats_.value("misses"); }
-  /// Hits satisfied by the one-entry last-page filter in front of the set
-  /// scan (a subset of hits(): the filter is a host-side fast path with
-  /// identical architectural behavior, not a modeled structure).
-  std::uint64_t fastpath_hits() const { return stats_.value("fastpath_hits"); }
-  double hit_rate() const {
-    const double total = static_cast<double>(hits() + misses());
-    return total == 0 ? 0.0 : static_cast<double>(hits()) / total;
+  /// Zeroes the counts and the miss-rate profile.
+  void reset_stats() {
+    stats_ = Stats{};
+    series_.clear();
   }
-
-  /// Fraction of consecutive read (write) requests to the same page.
-  double consecutive_same_page_rate(bool writes) const;
 
  private:
   struct Entry {
@@ -91,19 +101,7 @@ class Tlb {
   std::string name_;
   std::vector<Entry> entries_;
   std::uint64_t lru_clock_ = 0;
-  StatSet stats_;
-  // Hot counters resolved once at construction: lookup() runs per DMA
-  // request, and the string-keyed map walk in StatSet::counter() would cost
-  // more than the set scan the fast path saves. (std::map nodes are
-  // reference-stable, so these stay valid for the Tlb's lifetime.)
-  Counter& read_requests_;
-  Counter& write_requests_;
-  Counter& read_same_page_;
-  Counter& write_same_page_;
-  Counter& hits_;
-  Counter& misses_;
-  Counter& fastpath_hits_;
-  Counter& fastpath_misses_;
+  Stats stats_;
   TimeSeries series_;
 
   bool have_last_read_ = false, have_last_write_ = false;

@@ -5,8 +5,7 @@ namespace gemmini {
 TranslationSystem::TranslationSystem(const TranslationConfig& cfg,
                                      PageTableWalker& ptw,
                                      trace::Tracer* tracer,
-                                     fault::Injector* injector,
-                                     metrics::Metrics* metrics, int core)
+                                     fault::Injector* injector)
     : cfg_(cfg),
       private_(cfg.private_tlb, "private_tlb", cfg.profile_window),
       ptw_(ptw),
@@ -15,19 +14,12 @@ TranslationSystem::TranslationSystem(const TranslationConfig& cfg,
   if (cfg_.l2_tlb_present && cfg_.l2_tlb.entries > 0) {
     l2_.emplace(cfg_.l2_tlb, "l2_tlb", cfg_.profile_window);
   }
-  if (metrics != nullptr && core >= 0) {
-    const std::string p = "core" + std::to_string(core) + ".tlb";
-    m_hits_ = &metrics->registry().counter(p + ".hits");
-    m_misses_ = &metrics->registry().counter(p + ".misses");
-    m_filter_hits_ = &metrics->registry().counter(p + ".filter_hits");
-  }
 }
 
 Translation TranslationSystem::translate(const AddressSpace& as, VAddr va,
                                          bool is_write, Cycle t) {
   const std::uint64_t vpn = page_number(va);
   Translation out;
-  stats_.counter("requests").add();
 
   // Fault layer: a transient translation fault (parity error in the TLB
   // lookup, dropped walk response) is retried after a fixed penalty — the
@@ -40,8 +32,7 @@ Translation TranslationSystem::translate(const AddressSpace& as, VAddr va,
   if (cfg_.filter_registers) {
     FilterReg& f = is_write ? write_filter_ : read_filter_;
     if (f.valid && f.vpn == vpn) {
-      stats_.counter("filter_hits").add();
-      if (m_filter_hits_ != nullptr) m_filter_hits_->add();
+      ++stats_.filter_hits;
       out.paddr = f.ppn_base | page_offset(va);
       out.done = t;  // 0-cycle hit
       out.level = TranslationLevel::kFilterRegister;
@@ -55,9 +46,7 @@ Translation TranslationSystem::translate(const AddressSpace& as, VAddr va,
     now += cfg_.private_tlb.hit_latency;
     ppn_base = *ppn;
     out.level = TranslationLevel::kPrivateTlb;
-    if (m_hits_ != nullptr) m_hits_->add();
   } else {
-    if (m_misses_ != nullptr) m_misses_->add();
     now += cfg_.private_tlb.hit_latency;  // discover the miss first
     bool filled = false;
     if (l2_) {
@@ -104,14 +93,19 @@ void TranslationSystem::flush() {
   if (l2_) l2_->flush();
   read_filter_ = FilterReg{};
   write_filter_ = FilterReg{};
-  stats_.counter("flushes").add();
+  ++stats_.flushes;
+}
+
+void TranslationSystem::reset_stats() {
+  stats_ = Stats{};
+  private_.reset_stats();
+  if (l2_) l2_->reset_stats();
 }
 
 double TranslationSystem::effective_private_hit_rate() const {
-  const double filter_hits =
-      static_cast<double>(stats_.value("filter_hits"));
-  const double tlb_hits = static_cast<double>(private_.hits());
-  const double tlb_misses = static_cast<double>(private_.misses());
+  const double filter_hits = static_cast<double>(stats_.filter_hits);
+  const double tlb_hits = static_cast<double>(private_.stats().hits);
+  const double tlb_misses = static_cast<double>(private_.stats().misses);
   const double total = filter_hits + tlb_hits + tlb_misses;
   return total == 0 ? 0.0 : (filter_hits + tlb_hits) / total;
 }

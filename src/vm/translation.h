@@ -11,10 +11,8 @@
 
 #include <optional>
 
-#include "src/base/stats.h"
 #include "src/base/types.h"
 #include "src/fault/fault.h"
-#include "src/metrics/metrics.h"
 #include "src/trace/trace.h"
 #include "src/vm/page_table.h"
 #include "src/vm/ptw.h"
@@ -48,16 +46,19 @@ struct Translation {
 
 class TranslationSystem {
  public:
+  /// What the translation system counts itself (its TLBs keep their own
+  /// hit/miss counts), since the last reset_stats().
+  struct Stats {
+    std::uint64_t filter_hits = 0;
+    std::uint64_t flushes = 0;
+  };
+
   /// `ptw` may be shared with other translation systems (multi-core SoCs
   /// share the single walker, and CPUs contend for it). `tracer` (may be
-  /// null) receives TLB-miss and page-walk spans. `metrics` (may be null)
-  /// registers "core<core>.tlb.{hits,misses,filter_hits}"; the translation
-  /// system has no RequestorId of its own, so the owning accelerator passes
-  /// its core index (`core` < 0 skips registration).
+  /// null) receives TLB-miss and page-walk spans.
   TranslationSystem(const TranslationConfig& cfg, PageTableWalker& ptw,
                     trace::Tracer* tracer = nullptr,
-                    fault::Injector* injector = nullptr,
-                    metrics::Metrics* metrics = nullptr, int core = -1);
+                    fault::Injector* injector = nullptr);
 
   Translation translate(const AddressSpace& as, VAddr va, bool is_write,
                         Cycle t);
@@ -67,8 +68,10 @@ class TranslationSystem {
 
   const Tlb& private_tlb() const { return private_; }
   const Tlb* shared_tlb() const { return l2_ ? &*l2_ : nullptr; }
-  const StatSet& stats() const { return stats_; }
+  const Stats& stats() const { return stats_; }
   const TranslationConfig& config() const { return cfg_; }
+  /// Zeroes this system's counts and those of its TLBs.
+  void reset_stats();
 
   /// Hit rate counting filter-register hits as private-TLB hits (the paper
   /// reports "private TLB hit rate (including hits on the filter registers)
@@ -82,10 +85,7 @@ class TranslationSystem {
   PageTableWalker& ptw_;
   trace::Tracer* tracer_;
   fault::Injector* injector_;
-  metrics::Counter* m_hits_ = nullptr;
-  metrics::Counter* m_misses_ = nullptr;
-  metrics::Counter* m_filter_hits_ = nullptr;
-  StatSet stats_;
+  Stats stats_;
 
   struct FilterReg {
     bool valid = false;

@@ -195,11 +195,12 @@ TEST(Controller, FlushClearsTlbState) {
   Program prog{make_config_ld(16, 1.0f, 0),
                make_mvin(a, LocalAddr::sp_row(0), 16, 16)};
   h.accel.run(prog, h.as);
-  const std::uint64_t misses1 = h.accel.translation().private_tlb().misses();
+  const std::uint64_t misses1 =
+      h.accel.translation().private_tlb().stats().misses;
   Program prog2{make_flush(),
                 make_mvin(a, LocalAddr::sp_row(16), 16, 16)};
   h.accel.run(prog2, h.as);
-  EXPECT_GT(h.accel.translation().private_tlb().misses(), misses1);
+  EXPECT_GT(h.accel.translation().private_tlb().stats().misses, misses1);
 }
 
 TEST(Report, MacsAndUtilizationTracked) {
@@ -230,7 +231,7 @@ TEST(Scratchpad, BankConflictsDelaySecondAccess) {
   // Different bank: parallel.
   const Cycle t3 = sp.reserve(cfg.sp_bank_rows(), 16, 0, 16);
   EXPECT_EQ(t3, 16u);
-  EXPECT_GT(sp.stats().value("bank_conflict_cycles"), 0u);
+  EXPECT_GT(sp.stats().bank_conflict_cycles, 0u);
 }
 
 TEST(Scratchpad, OutOfRangeAborts) {

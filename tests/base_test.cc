@@ -104,16 +104,6 @@ TEST(Tensor, RandomizeDeterministic) {
   EXPECT_EQ(a, b);
 }
 
-TEST(Stats, CountersAccumulate) {
-  StatSet s;
-  s.counter("x").add();
-  s.counter("x").add(41);
-  EXPECT_EQ(s.value("x"), 42u);
-  EXPECT_EQ(s.value("missing"), 0u);
-  s.reset();
-  EXPECT_EQ(s.value("x"), 0u);
-}
-
 TEST(Stats, TimeSeriesWindows) {
   TimeSeries ts(100);
   for (Cycle t = 0; t < 100; ++t) ts.record(t, t < 20);   // 20% in window 0

@@ -328,13 +328,13 @@ TEST(DiffTest, DramFrFcfsConservesRequestsBytesAndChannels) {
     // Conservation: every request issued exactly once, all bytes accounted,
     // per-requestor and per-channel splits summing to the totals —
     // regardless of how the scheduler reordered the stream.
-    EXPECT_EQ(dut.stats().value("accesses"), stream.size());
-    EXPECT_EQ(dut.stats().value("bytes"), total_bytes);
-    EXPECT_EQ(dut.stats().value("row_hits") + dut.stats().value("row_misses"),
-              stream.size());
+    const Dram::ChannelStats totals = dut.stats().totals();
+    EXPECT_EQ(totals.accesses, stream.size());
+    EXPECT_EQ(totals.bytes, total_bytes);
+    EXPECT_EQ(totals.row_hits + totals.row_misses, stream.size());
 
     std::uint64_t requestor_bytes_sum = 0;
-    for (const Dram::RequestorStats& rs : dut.requestor_stats()) {
+    for (const Dram::RequestorStats& rs : dut.stats().requestors) {
       EXPECT_EQ(rs.row_hits + rs.row_misses, rs.accesses);
       EXPECT_EQ(rs.bytes,
                 bytes_by_requestor[static_cast<std::size_t>(rs.requestor)]);
@@ -347,7 +347,7 @@ TEST(DiffTest, DramFrFcfsConservesRequestsBytesAndChannels) {
 
     std::uint64_t channel_accesses = 0, channel_bytes = 0;
     bool both_channels_used = true;
-    for (const Dram::ChannelStats& cs : dut.channel_stats()) {
+    for (const Dram::ChannelStats& cs : dut.stats().channels) {
       channel_accesses += cs.accesses;
       channel_bytes += cs.bytes;
       both_channels_used = both_channels_used && cs.accesses > 0;
@@ -358,7 +358,7 @@ TEST(DiffTest, DramFrFcfsConservesRequestsBytesAndChannels) {
     // The XOR-fold interleave must actually spread a multi-MB stream.
     EXPECT_TRUE(both_channels_used);
     // Refresh windows genuinely engaged over this horizon.
-    EXPECT_GT(dut.stats().value("refresh_stall_cycles"), 0u);
+    EXPECT_GT(totals.refresh_stall_cycles, 0u);
     (void)last_arrival;
   }
 }
@@ -384,8 +384,9 @@ TEST(DiffTest, DramSchedulersIssueIdenticalWorkDifferentOrder) {
       }
     }
     d.drain_writes();
-    return std::pair<std::uint64_t, std::uint64_t>{
-        d.stats().value("accesses"), d.stats().value("bytes")};
+    const Dram::ChannelStats totals = d.stats().totals();
+    return std::pair<std::uint64_t, std::uint64_t>{totals.accesses,
+                                                   totals.bytes};
   };
   const auto fcfs = run(DramScheduler::kFcfs);
   const auto frfcfs = run(DramScheduler::kFrFcfs);

@@ -136,6 +136,36 @@ TEST(EnergySession, RunIdenticalApartFromEnergySection) {
   EXPECT_EQ(r_on, r_off);
 }
 
+TEST(EnergySession, EnergySectionIndependentOfMetrics) {
+  // The meter prices the components' own counts, not registry counters, so
+  // attaching the metrics registry changes nothing in the energy section —
+  // sampling only adds the power-over-time windows.
+  const Model m = zoo::squeezenet_v11(48);
+  auto run_with = [&m](const metrics::MetricsConfig& mcfg) {
+    return sim::Session::builder()
+        .metrics(mcfg)
+        .energy(energy::EnergyConfig::enabled_default())
+        .build()
+        .run(m)
+        .energy;
+  };
+  const sim::EnergyReport without = run_with(metrics::MetricsConfig{});
+  ASSERT_TRUE(without.enabled);
+  EXPECT_TRUE(without.window_fj.empty());
+
+  metrics::MetricsConfig totals_only = metrics::MetricsConfig::enabled_default();
+  totals_only.sample_interval_cycles = 0;
+  EXPECT_EQ(run_with(totals_only), without);
+
+  sim::EnergyReport sampled =
+      run_with(metrics::MetricsConfig::enabled_default());
+  EXPECT_FALSE(sampled.window_fj.empty());
+  sampled.sample_interval = 0;
+  sampled.window_fj.clear();
+  sampled.window_watts.clear();
+  EXPECT_EQ(sampled, without);
+}
+
 // ---- Exact reconciliation ---------------------------------------------------
 
 TEST(EnergySession, CommandEnergyReconcilesWithSubstrateCounters) {

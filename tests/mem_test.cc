@@ -93,9 +93,9 @@ TEST(Cache, WritebackVictimAddressReconstruction) {
 TEST(Cache, MissRateTracksAccesses) {
   Cache c(CacheConfig{.size_bytes = 4096, .ways = 4, .line_bytes = 64});
   for (int i = 0; i < 32; ++i) c.access_line(i * 64, false, {0});
-  EXPECT_DOUBLE_EQ(c.miss_rate(), 1.0);
+  EXPECT_DOUBLE_EQ(c.stats().miss_rate(), 1.0);
   for (int i = 0; i < 32; ++i) c.access_line(i * 64, false, {0});
-  EXPECT_DOUBLE_EQ(c.miss_rate(), 0.5);
+  EXPECT_DOUBLE_EQ(c.stats().miss_rate(), 0.5);
 }
 
 TEST(Cache, FlushInvalidatesEverything) {
@@ -136,8 +136,8 @@ TEST(Dram, RowHitFasterThanMiss) {
   const Cycle first = d.access(0, 64, 0, {0});
   const Cycle second = d.access(64, 64, first, {0}) - first;
   EXPECT_GT(first, second);  // second access hits the open row
-  EXPECT_EQ(d.stats().value("row_hits"), 1u);
-  EXPECT_EQ(d.stats().value("row_misses"), 1u);
+  EXPECT_EQ(d.stats().totals().row_hits, 1u);
+  EXPECT_EQ(d.stats().totals().row_misses, 1u);
 }
 
 TEST(Dram, BankHashSpreadsLargeStrides) {
@@ -268,14 +268,16 @@ TEST(Dram, RefreshStallsIssuesAndClosesRows) {
   // t=0 lands inside the first refresh window: the issue stalls to 200.
   const Cycle first = d.access(0, 64, 0, {0});
   EXPECT_GE(first, 200 + cfg.row_miss_latency);
-  EXPECT_GT(d.stats().value("refresh_stall_cycles"), 0u);
+  EXPECT_GT(d.stats().totals().refresh_stall_cycles, 0u);
+  EXPECT_EQ(d.stats().totals().refresh_periods, 1u);
   // Same row, same refresh period: still open, row hit.
   d.access(64, 64, first, {0});
-  EXPECT_EQ(d.stats().value("row_hits"), 1u);
+  EXPECT_EQ(d.stats().totals().row_hits, 1u);
   // Next period: the all-bank refresh closed the row, so the same row
   // misses again.
   d.access(128, 64, 1500, {0});
-  EXPECT_EQ(d.stats().value("row_misses"), 2u);
+  EXPECT_EQ(d.stats().totals().row_misses, 2u);
+  EXPECT_EQ(d.stats().totals().refresh_periods, 2u);  // each counted once
 }
 
 TEST(Dram, ChannelInterleaveSpreadsALineStream) {
@@ -286,11 +288,11 @@ TEST(Dram, ChannelInterleaveSpreadsALineStream) {
   for (int i = 0; i < 16; ++i) {
     d.access(static_cast<PAddr>(i) * 64, 64, static_cast<Cycle>(i) * 10, {0});
   }
-  ASSERT_EQ(d.channel_stats().size(), 2u);
-  EXPECT_EQ(d.channel_stats()[0].accesses, 8u);
-  EXPECT_EQ(d.channel_stats()[1].accesses, 8u);
+  ASSERT_EQ(d.stats().channels.size(), 2u);
+  EXPECT_EQ(d.stats().channels[0].accesses, 8u);
+  EXPECT_EQ(d.stats().channels[1].accesses, 8u);
   // Per-requestor channel split sums back to the requestor total.
-  const Dram::RequestorStats& rs = d.requestor_stats().front();
+  const Dram::RequestorStats& rs = d.stats().requestors.front();
   EXPECT_EQ(rs.channel_bytes.at(0) + rs.channel_bytes.at(1), rs.bytes);
 }
 
@@ -350,18 +352,19 @@ TEST(Dram, WriteQueueForceDrainsAtDepth) {
     d.write(static_cast<PAddr>(i) * 4096, 64, static_cast<Cycle>(i), {0});
   }
   EXPECT_EQ(d.pending_writes(), 3u);
-  EXPECT_EQ(d.stats().value("accesses"), 0u);  // nothing issued yet
-  d.write(3 * 4096, 64, 3, {0});               // hits the depth: drain to 1
+  EXPECT_EQ(d.stats().totals().accesses, 0u);  // nothing issued yet
+  d.write(3 * 4096, 64, 3, {0});  // hits the depth: drain to 1
   EXPECT_EQ(d.pending_writes(), 1u);
-  EXPECT_EQ(d.stats().value("write_drains"), 1u);
-  EXPECT_EQ(d.stats().value("writes_buffered"), 4u);
-  EXPECT_EQ(d.stats().value("accesses"), 3u);
+  EXPECT_EQ(d.stats().totals().write_drains, 1u);
+  EXPECT_EQ(d.stats().totals().writes_buffered, 4u);
+  EXPECT_EQ(d.stats().totals().accesses, 3u);
   d.drain_writes();
   EXPECT_EQ(d.pending_writes(), 0u);
-  EXPECT_EQ(d.stats().value("accesses"), 4u);
+  EXPECT_EQ(d.stats().totals().accesses, 4u);
+  EXPECT_EQ(d.stats().totals().writes, 4u);
 }
 
-TEST(Dram, ResetTimeClearsQueuesAndChannelStats) {
+TEST(Dram, ResetTimeClearsQueuesResetStatsClearsCounts) {
   DramConfig cfg;
   cfg.channels = 2;
   cfg.write_queue_depth = 8;
@@ -372,9 +375,13 @@ TEST(Dram, ResetTimeClearsQueuesAndChannelStats) {
   EXPECT_EQ(d.pending_writes(), 1u);
   d.reset_time();
   EXPECT_EQ(d.pending_writes(), 0u);
-  EXPECT_TRUE(d.requestor_stats().empty());
-  ASSERT_EQ(d.channel_stats().size(), 2u);
-  for (const Dram::ChannelStats& cs : d.channel_stats()) {
+  EXPECT_EQ(d.stats().totals().accesses, 1u);  // timing reset keeps counts
+  d.reset_stats();
+  EXPECT_TRUE(d.stats().requestors.empty());
+  ASSERT_EQ(d.stats().channels.size(), 2u);
+  for (unsigned c = 0; c < 2; ++c) {
+    const Dram::ChannelStats& cs = d.stats().channels[c];
+    EXPECT_EQ(cs.channel, c);
     EXPECT_EQ(cs.accesses, 0u);
     EXPECT_EQ(cs.writes_buffered, 0u);
   }
@@ -386,13 +393,13 @@ TEST(MemSys, HitLatencyLowerThanMiss) {
   m.reset_time();
   const Cycle hit = m.access(0x1000, 64, false, 0, {0});
   EXPECT_LT(hit, miss);
-  EXPECT_EQ(m.l2().hits(), 1u);
+  EXPECT_EQ(m.l2().stats().hits, 1u);
 }
 
 TEST(MemSys, LargeAccessSplitsIntoLines) {
   MemorySystem m(MemSysConfig{});
   m.access(0, 1024, false, 0, {0});
-  EXPECT_EQ(m.l2().misses(), 1024u / m.config().l2.line_bytes);
+  EXPECT_EQ(m.l2().stats().misses, 1024u / m.config().l2.line_bytes);
 }
 
 TEST(MemSys, WritebackTrafficReachesDram) {
@@ -404,7 +411,7 @@ TEST(MemSys, WritebackTrafficReachesDram) {
     m.access(a, 64, true, a, {0});
   }
   // Re-stream: every line dirty-evicted must have produced a writeback.
-  EXPECT_GT(m.stats().value("l2_writebacks"), 0u);
+  EXPECT_GT(m.l2().stats().writebacks, 0u);
 }
 
 TEST(MemSys, SharedRequestorsContend) {
@@ -418,7 +425,7 @@ TEST(MemSys, SharedRequestorsContend) {
 TEST(MemSys, UncachedBypassesL2) {
   MemorySystem m(MemSysConfig{});
   m.access_uncached(0x2000, 8, false, 0, {0});
-  EXPECT_EQ(m.l2().hits() + m.l2().misses(), 0u);
+  EXPECT_EQ(m.l2().stats().hits + m.l2().stats().misses, 0u);
 }
 
 }  // namespace

@@ -214,8 +214,9 @@ TEST(MetricsSession, GoldenCyclesInvariantUnderMetrics) {
       base().metrics(metrics::MetricsConfig::enabled_default()).build();
   const Cycle cycles_on = golden_matmul_cycles(on);
   EXPECT_EQ(cycles_on, cycles_off);
-  // And the instrumentation did observe the run.
-  EXPECT_GT(on.metrics().registry().counter("core0.exec.macs").value(), 0u);
+  // And the instrumentation did observe the run: the accelerator counted it
+  // in its own report (the registry is the view SoC runs publish from it).
+  EXPECT_EQ(on.accelerator().report().macs, 320u * 320 * 320);
 }
 
 TEST(MetricsSession, ReportIdenticalApartFromMetricsSection) {
@@ -274,12 +275,68 @@ TEST(MetricsSession, TimelinesReconcileWithEndOfRunCounters) {
   }
   EXPECT_FALSE(rep.metrics.histograms.empty());
 
-  // Cross-checks against the independently collected report sections.
-  EXPECT_EQ(rep.metrics.counters.at("core0.exec.macs"),
-            rep.per_core[0].accel.macs);
-  EXPECT_EQ(rep.metrics.counters.at("l2.hits") +
-                rep.metrics.counters.at("l2.misses"),
-            rep.substrate.l2_hits + rep.substrate.l2_misses);
+  // Cross-checks of every published family against the Report sections
+  // built from the same component counts. Per-requestor names appear only
+  // once a requestor used that unit, so absent means zero there.
+  const std::map<std::string, std::uint64_t>& c = rep.metrics.counters;
+  const auto or_zero = [&c](const std::string& name) -> std::uint64_t {
+    const auto it = c.find(name);
+    return it == c.end() ? 0 : it->second;
+  };
+  EXPECT_EQ(c.at("core0.exec.macs"), rep.per_core[0].accel.macs);
+  EXPECT_GT(c.at("core0.exec.tiles"), 0u);
+  EXPECT_EQ(c.at("l2.hits"), rep.substrate.l2_hits);
+  EXPECT_EQ(c.at("l2.misses"), rep.substrate.l2_misses);
+
+  ASSERT_FALSE(rep.substrate.dram_channels.empty());
+  for (const sim::DramChannelTraffic& ch : rep.substrate.dram_channels) {
+    const std::string p = "dram.ch" + std::to_string(ch.channel);
+    EXPECT_EQ(c.at(p + ".accesses"), ch.accesses) << p;
+    EXPECT_EQ(c.at(p + ".bytes"), ch.bytes) << p;
+    EXPECT_EQ(c.at(p + ".row_hits"), ch.row_hits) << p;
+    EXPECT_EQ(c.at(p + ".row_misses"), ch.row_misses) << p;
+  }
+
+  std::uint64_t sysbus = 0, sysbus_wait = 0, membus = 0, membus_wait = 0;
+  const sim::RequestorTraffic* core0 = nullptr;
+  for (const sim::RequestorTraffic& rq : rep.substrate.per_requestor) {
+    const std::string id = std::to_string(rq.requestor);
+    EXPECT_EQ(or_zero("sysbus.req" + id + ".bytes"), rq.sysbus_bytes) << id;
+    EXPECT_EQ(or_zero("sysbus.req" + id + ".wait_cycles"),
+              rq.sysbus_wait_cycles) << id;
+    EXPECT_EQ(or_zero("membus.req" + id + ".bytes"), rq.membus_bytes) << id;
+    EXPECT_EQ(or_zero("membus.req" + id + ".wait_cycles"),
+              rq.membus_wait_cycles) << id;
+    EXPECT_EQ(or_zero("dram.req" + id + ".bytes"), rq.dram_bytes) << id;
+    EXPECT_EQ(or_zero("dram.req" + id + ".row_hits"), rq.dram_row_hits) << id;
+    EXPECT_EQ(or_zero("dram.req" + id + ".row_misses"), rq.dram_row_misses)
+        << id;
+    sysbus += rq.sysbus_bytes;
+    sysbus_wait += rq.sysbus_wait_cycles;
+    membus += rq.membus_bytes;
+    membus_wait += rq.membus_wait_cycles;
+    if (rq.requestor == 0) core0 = &rq;
+  }
+  EXPECT_EQ(c.at("sysbus.bytes"), sysbus);
+  EXPECT_EQ(c.at("sysbus.wait_cycles"), sysbus_wait);
+  EXPECT_EQ(c.at("membus.bytes"), membus);
+  EXPECT_EQ(c.at("membus.wait_cycles"), membus_wait);
+
+  // Core 0's only memory traffic is its DMA (page walks have their own
+  // requestor id), so its DMA bytes are its system-bus bytes.
+  ASSERT_NE(core0, nullptr);
+  EXPECT_GT(c.at("core0.dma.load_bytes"), 0u);
+  EXPECT_EQ(c.at("core0.dma.load_bytes") + c.at("core0.dma.store_bytes"),
+            core0->sysbus_bytes);
+
+  const double hits = static_cast<double>(c.at("core0.tlb.hits"));
+  const double misses = static_cast<double>(c.at("core0.tlb.misses"));
+  const double filter = static_cast<double>(c.at("core0.tlb.filter_hits"));
+  ASSERT_GT(hits + misses, 0.0);
+  EXPECT_DOUBLE_EQ(rep.per_core[0].private_tlb_hit_rate,
+                   hits / (hits + misses));
+  EXPECT_DOUBLE_EQ(rep.per_core[0].effective_private_tlb_hit_rate,
+                   (filter + hits) / (filter + hits + misses));
 }
 
 TEST(MetricsSession, OpenMetricsExportIsDeterministic) {

@@ -108,6 +108,35 @@ TEST(SimSession, ReportIsConsistent) {
   EXPECT_GT(tagged, 0u);
 }
 
+TEST(SimSession, RepeatedRunsReportPerRunSubstrateCounts) {
+  // Every Report section describes its own run: on each run of one Session
+  // the substrate L2/DRAM totals and the private-TLB hit rate equal that
+  // run's registry counters (the registry is reset per run), not a tally
+  // accumulated since the Session was built.
+  sim::Session s = sim::Session::builder()
+                       .metrics(metrics::MetricsConfig::enabled_default())
+                       .build();
+  const Model m = zoo::squeezenet_v11(48);
+  for (int run = 1; run <= 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    const sim::Report r = s.run(m);
+    const std::map<std::string, std::uint64_t>& c = r.metrics.counters;
+    EXPECT_EQ(r.substrate.l2_hits, c.at("l2.hits"));
+    EXPECT_EQ(r.substrate.l2_misses, c.at("l2.misses"));
+    ASSERT_FALSE(r.substrate.dram_channels.empty());
+    for (const sim::DramChannelTraffic& ch : r.substrate.dram_channels) {
+      EXPECT_EQ(ch.accesses,
+                c.at("dram.ch" + std::to_string(ch.channel) + ".accesses"));
+    }
+    const std::uint64_t tlb_hits = c.at("core0.tlb.hits");
+    const std::uint64_t tlb_misses = c.at("core0.tlb.misses");
+    ASSERT_GT(tlb_hits + tlb_misses, 0u);
+    EXPECT_DOUBLE_EQ(r.per_core[0].private_tlb_hit_rate,
+                     static_cast<double>(tlb_hits) /
+                         static_cast<double>(tlb_hits + tlb_misses));
+  }
+}
+
 TEST(SimSession, AllPaperModelsRunScaled) {
   // The whole zoo, scaled, through the push-button facade — every layer
   // kind the lowering supports (conv, depthwise, dense, pools, resadd,

@@ -163,8 +163,7 @@ TEST(SocTiming, OsNoiseAddsTimeAndFlushes) {
   const CoreResult rn = soc_noisy.run(ln.stream);
   EXPECT_GT(rn.finish, t_quiet);
   EXPECT_GT(rn.cycles_by_tag.at("os"), 0u);
-  EXPECT_GT(soc_noisy.accelerator(0).translation().stats().value("flushes"),
-            0u);
+  EXPECT_GT(soc_noisy.accelerator(0).translation().stats().flushes, 0u);
 }
 
 TEST(SocTiming, FilterRegistersNeverHurt) {

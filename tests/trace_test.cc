@@ -312,14 +312,13 @@ TEST(RequestorStats, SurfacedInReportAndConsistent) {
   EXPECT_GT(sysbus_bytes, 0u);
   EXPECT_GT(dram_accesses, 0u);
   // Per-requestor shares add up to the aggregate counters.
-  EXPECT_EQ(sysbus_bytes,
-            s.soc().memory().system_bus().stats().value("bytes"));
-  EXPECT_EQ(dram_accesses, s.soc().memory().dram().stats().value("accesses"));
+  EXPECT_EQ(sysbus_bytes, s.soc().memory().system_bus().stats().bytes());
+  EXPECT_EQ(dram_accesses, s.soc().memory().dram().stats().totals().accesses);
 }
 
 TEST(RequestorStats, PerRunNotCumulative) {
-  // reset_time clears the per-requestor tables, so a Report's table
-  // describes only its own run — consistent with the trace/bottlenecks.
+  // The SoC zeroes the per-requestor tables at run start, so a Report's
+  // table describes only its own run — consistent with the trace.
   const SocConfig cfg = test_config();
   const Model m = zoo::squeezenet_v11(48);
   sim::Session s = sim::Session::builder(cfg).build();
@@ -385,7 +384,7 @@ TEST(RequestorStats, ChannelCountersSumToTotalsInReport) {
   }
   EXPECT_EQ(channel_bytes, requestor_dram_bytes);
   EXPECT_EQ(channel_accesses,
-            s.soc().memory().dram().stats().value("accesses"));
+            s.soc().memory().dram().stats().totals().accesses);
 
   // And the channel table serializes into the Report JSON.
   const std::string json = r.to_json();

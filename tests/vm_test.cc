@@ -69,7 +69,7 @@ TEST_F(VmFixture, PtwProducesCorrectFrameAndTakesTime) {
   const auto r = ptw.walk(as, va, 1000);
   EXPECT_EQ(r.ppn_base, page_base(as.translate(va)));
   EXPECT_GT(r.done, 1000u);  // three dependent PTE loads
-  EXPECT_EQ(ptw.stats().value("pte_loads"), 3u);
+  EXPECT_EQ(ptw.stats().pte_loads, 3u);
 }
 
 TEST_F(VmFixture, PtwSerializesConcurrentWalks) {
@@ -77,7 +77,7 @@ TEST_F(VmFixture, PtwSerializesConcurrentWalks) {
   const auto r1 = ptw.walk(as, a, 0);
   const auto r2 = ptw.walk(as, b, 0);  // issued at the same time
   EXPECT_GE(r2.done, r1.done);         // single walker: queued
-  EXPECT_GT(ptw.stats().value("queue_cycles"), 0u);
+  EXPECT_GT(ptw.stats().queue_cycles, 0u);
 }
 
 TEST(Tlb, HitAfterFill) {
@@ -127,11 +127,11 @@ TEST(Tlb, ConsecutiveSamePageTracking) {
   tlb.lookup(1, false, 1);
   tlb.lookup(1, false, 2);
   tlb.lookup(2, false, 3);
-  EXPECT_NEAR(tlb.consecutive_same_page_rate(false), 2.0 / 3.0, 1e-9);
+  EXPECT_NEAR(tlb.stats().consecutive_same_page_rate(false), 2.0 / 3.0, 1e-9);
   // Writes tracked separately.
   tlb.lookup(5, true, 4);
   tlb.lookup(5, true, 5);
-  EXPECT_NEAR(tlb.consecutive_same_page_rate(true), 1.0, 1e-9);
+  EXPECT_NEAR(tlb.stats().consecutive_same_page_rate(true), 1.0, 1e-9);
 }
 
 TEST(Tlb, MissSeriesRecordsOverTime) {
@@ -174,12 +174,12 @@ TEST_F(TranslationFixture, SharedTlbCatchesPrivateEvictions) {
   for (const VAddr va : vas) ts.translate(as, va, false, 0);
   // All 8 pages overflowed the 2-entry private TLB but fit in the shared
   // one: re-touching them must hit the shared level, not the walker.
-  const std::uint64_t walks_before = ptw.stats().value("walks");
+  const std::uint64_t walks_before = ptw.stats().walks;
   for (const VAddr va : vas) {
     const auto t = ts.translate(as, va, false, 100000);
     EXPECT_NE(t.level, TranslationLevel::kPageWalk);
   }
-  EXPECT_EQ(ptw.stats().value("walks"), walks_before);
+  EXPECT_EQ(ptw.stats().walks, walks_before);
 }
 
 TEST_F(TranslationFixture, FilterRegisterZeroLatency) {
@@ -198,14 +198,14 @@ TEST_F(TranslationFixture, ReadWriteFiltersIndependent) {
   ts.translate(as, ra, false, 0);
   ts.translate(as, wa, true, 0);
   // Alternating read/write to the two pages never misses the filters.
-  const std::uint64_t misses_before = ts.private_tlb().misses();
+  const std::uint64_t misses_before = ts.private_tlb().stats().misses;
   for (int i = 0; i < 16; ++i) {
     EXPECT_EQ(ts.translate(as, ra + i, false, 1000 + i).level,
               TranslationLevel::kFilterRegister);
     EXPECT_EQ(ts.translate(as, wa + i, true, 1000 + i).level,
               TranslationLevel::kFilterRegister);
   }
-  EXPECT_EQ(ts.private_tlb().misses(), misses_before);
+  EXPECT_EQ(ts.private_tlb().stats().misses, misses_before);
 }
 
 TEST_F(TranslationFixture, WithoutFiltersReadsAndWritesContend) {
@@ -214,12 +214,12 @@ TEST_F(TranslationFixture, WithoutFiltersReadsAndWritesContend) {
   auto ts = make(1, 0, false);
   const VAddr ra = as.alloc(kPageBytes), wa = as.alloc(kPageBytes);
   ts.translate(as, ra, false, 0);
-  const std::uint64_t walks_before = ptw.stats().value("walks");
+  const std::uint64_t walks_before = ptw.stats().walks;
   for (int i = 0; i < 8; ++i) {
     ts.translate(as, wa, true, 100 + i);
     ts.translate(as, ra, false, 200 + i);
   }
-  EXPECT_EQ(ptw.stats().value("walks") - walks_before, 16u);
+  EXPECT_EQ(ptw.stats().walks - walks_before, 16u);
 }
 
 TEST_F(TranslationFixture, FlushDropsFilterAndTlbs) {
@@ -249,12 +249,12 @@ TEST(TlbFastPath, SamePageStreakHitsFilter) {
   Tlb tlb(TlbConfig{.entries = 4});
   tlb.fill(10, 0x9000);
   EXPECT_EQ(tlb.lookup(10, false, 0), 0x9000u);  // scan hit, arms the filter
-  EXPECT_EQ(tlb.fastpath_hits(), 0u);
+  EXPECT_EQ(tlb.stats().fastpath_hits, 0u);
   EXPECT_EQ(tlb.lookup(10, false, 1), 0x9000u);
   EXPECT_EQ(tlb.lookup(10, false, 2), 0x9000u);
-  EXPECT_EQ(tlb.fastpath_hits(), 2u);
-  EXPECT_EQ(tlb.hits(), 3u);  // fast hits are still architectural hits
-  EXPECT_EQ(tlb.misses(), 0u);
+  EXPECT_EQ(tlb.stats().fastpath_hits, 2u);
+  EXPECT_EQ(tlb.stats().hits, 3u);  // fast hits are still architectural hits
+  EXPECT_EQ(tlb.stats().misses, 0u);
 }
 
 TEST(TlbFastPath, PageCrossingInvalidatesFilter) {
@@ -263,14 +263,14 @@ TEST(TlbFastPath, PageCrossingInvalidatesFilter) {
   tlb.fill(11, 0xa000);
   tlb.lookup(10, false, 0);                      // arms filter on vpn 10
   EXPECT_EQ(tlb.lookup(10, false, 1), 0x9000u);  // fast
-  EXPECT_EQ(tlb.fastpath_hits(), 1u);
+  EXPECT_EQ(tlb.stats().fastpath_hits, 1u);
   EXPECT_EQ(tlb.lookup(11, false, 2), 0xa000u);  // page cross: full scan
-  EXPECT_EQ(tlb.fastpath_hits(), 1u);
+  EXPECT_EQ(tlb.stats().fastpath_hits, 1u);
   // Filter now tracks vpn 11; returning to 10 scans again.
   EXPECT_EQ(tlb.lookup(10, false, 3), 0x9000u);
-  EXPECT_EQ(tlb.fastpath_hits(), 1u);
+  EXPECT_EQ(tlb.stats().fastpath_hits, 1u);
   EXPECT_EQ(tlb.lookup(10, false, 4), 0x9000u);  // fast again
-  EXPECT_EQ(tlb.fastpath_hits(), 2u);
+  EXPECT_EQ(tlb.stats().fastpath_hits, 2u);
 }
 
 TEST(TlbFastPath, ShootdownClearsFilter) {
@@ -278,15 +278,15 @@ TEST(TlbFastPath, ShootdownClearsFilter) {
   tlb.fill(10, 0x9000);
   tlb.lookup(10, false, 0);
   tlb.lookup(10, false, 1);
-  EXPECT_EQ(tlb.fastpath_hits(), 1u);
+  EXPECT_EQ(tlb.stats().fastpath_hits, 1u);
   tlb.flush();
   tlb.fill(10, 0x9000);
   // Post-flush streak must re-scan before the filter re-arms, even though
   // the same vpn is re-installed.
   EXPECT_EQ(tlb.lookup(10, false, 2), 0x9000u);
-  EXPECT_EQ(tlb.fastpath_hits(), 1u);
+  EXPECT_EQ(tlb.stats().fastpath_hits, 1u);
   EXPECT_EQ(tlb.lookup(10, false, 3), 0x9000u);
-  EXPECT_EQ(tlb.fastpath_hits(), 2u);
+  EXPECT_EQ(tlb.stats().fastpath_hits, 2u);
 }
 
 TEST(TlbFastPath, StaleFilterAfterEvictionFallsThrough) {
@@ -297,11 +297,11 @@ TEST(TlbFastPath, StaleFilterAfterEvictionFallsThrough) {
   tlb.fill(2, 0x2000);
   tlb.lookup(2, false, 2);
   tlb.fill(3, 0x3000);  // evicts vpn 1 (LRU)
-  const std::uint64_t fast_before = tlb.fastpath_hits();
+  const std::uint64_t fast_before = tlb.stats().fastpath_hits;
   // Filter still remembers vpn 1's slot, but the entry now holds vpn 3: the
   // fast path must re-validate and report an architectural miss.
   EXPECT_FALSE(tlb.lookup(1, false, 3).has_value());
-  EXPECT_EQ(tlb.fastpath_hits(), fast_before);
+  EXPECT_EQ(tlb.stats().fastpath_hits, fast_before);
 }
 
 TEST(TlbFastPath, FastHitsRefreshLru) {
@@ -311,7 +311,7 @@ TEST(TlbFastPath, FastHitsRefreshLru) {
   tlb.lookup(1, true, 0);   // scan hit: arms the *write* filter on vpn 1
   tlb.lookup(2, false, 1);  // scan hit: vpn 2's stamp now exceeds vpn 1's
   tlb.lookup(1, true, 2);   // fast hit; must restamp vpn 1 above vpn 2
-  EXPECT_EQ(tlb.fastpath_hits(), 1u);
+  EXPECT_EQ(tlb.stats().fastpath_hits, 1u);
   // If the fast path failed to refresh LRU, vpn 1 (stale stamp) would be the
   // victim here instead of vpn 2.
   tlb.fill(3, 0x3000);
@@ -330,7 +330,7 @@ TEST(TlbFastPath, ReadAndWriteStreamsAreIndependent) {
   EXPECT_EQ(tlb.lookup(20, true, 3), 0xb000u);
   EXPECT_EQ(tlb.lookup(10, false, 4), 0x9000u);
   EXPECT_EQ(tlb.lookup(20, true, 5), 0xb000u);
-  EXPECT_EQ(tlb.fastpath_hits(), 4u);
+  EXPECT_EQ(tlb.stats().fastpath_hits, 4u);
 }
 
 TEST_F(TranslationFixture, FastPathKeepsTranslationResultsIdentical) {
@@ -358,7 +358,7 @@ TEST_F(TranslationFixture, FastPathKeepsTranslationResultsIdentical) {
     }
   }
   // And the private TLB's fast path actually engaged on the streaks.
-  EXPECT_GT(ts.private_tlb().fastpath_hits(), 0u);
+  EXPECT_GT(ts.private_tlb().stats().fastpath_hits, 0u);
 }
 
 TEST_F(TranslationFixture, PteWalksBenefitFromL2Cache) {
