@@ -36,8 +36,8 @@ void gemm_i8_acc_i32(const TensorI8& a, const TensorI8& b, TensorI32& c);
 
 // ---- Naive reference loops -------------------------------------------------
 // The original scalar i/j/k implementations, retained as the equivalence
-// oracle for the blocked kernels above and as the baseline the perf harness
-// (bench/bench_perf.cc) measures speedup against.
+// oracle for the blocked kernels above and as the baseline of the int8
+// speedup gate (tests/timing_test.cc).
 void gemm_i8_naive(const TensorI8& a, const TensorI8& b,
                    const std::int32_t* bias, TensorI8& c, unsigned out_shift,
                    Activation act);

@@ -372,6 +372,7 @@ TEST(FaultCampaign, EccOnCorrectsEverySingleBitFlip) {
   EXPECT_EQ(rel.campaign_runs, 4u);
   ASSERT_EQ(rel.run_outcomes.size(), 4u);
   EXPECT_GT(rel.injection.ecc_corrected, 0u);
+  EXPECT_EQ(rel.injection.ecc_corrected, rel.injection.dram_read_flips);
   EXPECT_GT(rel.corrected, 0u);
   EXPECT_EQ(rel.sdc, 0u);
   EXPECT_EQ(rel.detected, 0u);

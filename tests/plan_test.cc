@@ -213,6 +213,18 @@ TEST(TilingPolicies, ExhaustiveNeverModelsMoreTrafficThanHeuristic) {
       EXPECT_LE(e, h) << dims.m << "x" << dims.k << "x" << dims.n;
     }
   }
+
+  // And summed over every layer of every scaled zoo model's plan.
+  for (const Model& m : zoo::all_paper_models_scaled()) {
+    sim::Session heur_s = sim::Session::builder(test_config()).build();
+    sim::Session exh_s =
+        sim::Session::builder(test_config())
+            .tiling(std::make_shared<const lowering::ExhaustiveTiling>())
+            .build();
+    EXPECT_LE(exh_s.plan(m).modeled_dma_bytes(),
+              heur_s.plan(m).modeled_dma_bytes())
+        << m.name();
+  }
 }
 
 TEST(TilingPolicies, ExhaustiveStaysWithinBudget) {

@@ -1,7 +1,7 @@
 #pragma once
 // Shared helpers for the test suite: a small SoC fixture with a functional
-// accelerator, plus tensor round-trip helpers through simulated virtual
-// memory.
+// accelerator, tensor round-trip helpers through simulated virtual memory,
+// and the contended memory-controller config the scheduling tests share.
 
 #include <cstdint>
 #include <memory>
@@ -11,6 +11,7 @@
 #include "src/base/rng.h"
 #include "src/base/tensor.h"
 #include "src/mem/memsys.h"
+#include "src/soc/soc.h"
 #include "src/vm/page_table.h"
 #include "src/vm/ptw.h"
 
@@ -54,5 +55,21 @@ struct AccelHarness {
   PageTableWalker ptw;
   Accelerator accel;
 };
+
+/// The Fig. 9 Base SoC (im2col unit on) behind a contended memory
+/// controller: XOR-folded line interleave, a 16-deep write queue draining
+/// to 4, and DDR4-like periodic refresh.
+inline SocConfig contended_soc(DramScheduler sched, unsigned channels = 2) {
+  SocConfig cfg = SocConfig::base_1mb_l2();
+  cfg.accel.has_im2col = true;
+  cfg.mem.dram.channels = channels;
+  cfg.mem.dram.scheduler = sched;
+  cfg.mem.dram.interleave = DramInterleave::kXorFold;
+  cfg.mem.dram.write_queue_depth = 16;
+  cfg.mem.dram.write_drain_floor = 4;
+  cfg.mem.dram.refresh_interval = 7800;
+  cfg.mem.dram.refresh_latency = 280;
+  return cfg;
+}
 
 }  // namespace gemmini::test
