@@ -78,35 +78,41 @@ enum class Opcode : std::uint8_t {
 const char* opcode_name(Opcode op);
 
 /// Decoded instruction. One struct (not a variant) keeps the hot loop simple
-/// and the program representation compact; unused fields are zero.
+/// and the program representation compact; unused fields are zero. Fields
+/// are laid out widest first so the struct packs into 48 bytes — a lowered
+/// program holds one per command, and serve calibration keeps several
+/// programs alive at once.
 struct Instruction {
-  Opcode op = Opcode::kFence;
+  // 64-bit operands.
+  VAddr dram_addr = 0;             ///< MVIN / MVOUT
+  std::uint64_t stride_bytes = 0;  ///< CONFIG_LD / CONFIG_ST
 
-  // Data movement (MVIN / MVOUT).
-  VAddr dram_addr = 0;
+  // Local addresses: MVIN/MVOUT, PRELOAD B / COMPUTE A, then the second
+  // operand (PRELOAD C / COMPUTE D).
   LocalAddr local = LocalAddr::garbage();
+  LocalAddr local2 = LocalAddr::garbage();
+  float ld_scale = 1.0f;  ///< CONFIG_LD
+
+  // Operand dimensions.
   std::uint16_t rows = 0;
   std::uint16_t cols = 0;
-  std::uint8_t ld_channel = 0;  ///< which CONFIG_LD stride applies (0..2)
-
-  // Second operand (PRELOAD: B/C, COMPUTE: A/D).
-  LocalAddr local2 = LocalAddr::garbage();
   std::uint16_t rows2 = 0;
   std::uint16_t cols2 = 0;
+  std::uint16_t pool_window = 0;  ///< CONFIG_ST (0 = off)
+  std::uint16_t pool_stride = 0;  ///< CONFIG_ST
 
-  // CONFIG payloads.
-  Dataflow dataflow = Dataflow::kWeightStationary;  // CONFIG_EX
-  Activation activation = Activation::kNone;        // CONFIG_EX
-  std::uint8_t out_shift = 0;                       // CONFIG_EX
-  bool a_transpose = false;                         // CONFIG_EX (transposer)
-  std::uint64_t stride_bytes = 0;                   // CONFIG_LD / CONFIG_ST
-  float ld_scale = 1.0f;                            // CONFIG_LD
-  bool ld_int4 = false;                             // CONFIG_LD (packed int4)
-  std::uint16_t pool_window = 0;                    // CONFIG_ST (0 = off)
-  std::uint16_t pool_stride = 0;                    // CONFIG_ST
+  Opcode op = Opcode::kFence;
+  std::uint8_t ld_channel = 0;  ///< which CONFIG_LD stride applies (0..2)
+  Dataflow dataflow = Dataflow::kWeightStationary;  ///< CONFIG_EX
+  Activation activation = Activation::kNone;        ///< CONFIG_EX
+  std::uint8_t out_shift = 0;                       ///< CONFIG_EX
+  bool a_transpose = false;  ///< CONFIG_EX (transposer)
+  bool ld_int4 = false;      ///< CONFIG_LD (packed int4)
 
   std::string to_string() const;
 };
+static_assert(sizeof(Instruction) == 48,
+              "Instruction grew: keep its fields ordered widest first");
 
 /// Builder helpers — the runtime uses these to emit programs.
 Instruction make_config_ex(Dataflow df, Activation act, unsigned out_shift,

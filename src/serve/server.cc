@@ -7,6 +7,7 @@
 
 #include "src/base/stats.h"
 #include "src/metrics/openmetrics.h"
+#include "src/sim/parallel.h"
 #include "src/trace/perfetto.h"
 
 namespace gemmini::serve {
@@ -37,28 +38,40 @@ sim::Session Server::make_session(const SocConfig& cfg, bool with_trace) const {
       .build();
 }
 
-Server::Calibration Server::calibrate(const RequestClass& cls) const {
+std::vector<Server::Calibration> Server::calibrate() const {
   SocConfig cfg = config_;
   cfg.faults.enabled = false;  // service times are calibrated fault-free
-  Calibration cal;
+  const bool multicore = config_.cores > 1;
+  const std::size_t probes_per_class = multicore ? 2 : 1;
+  std::vector<Calibration> cal(spec_.classes.size());
 
-  sim::Session s = make_session(cfg, /*with_trace=*/false);
-  cal.cold = s.run(cls.model).cycles;
+  // The probes share no state — each elaborates its own Session — so they
+  // run on the shared worker pool (inline when this server is itself a
+  // Sweep worker's point). Probe order is class order, cold before
+  // contended, so the pool's lowest-index rethrow raises the error the
+  // serial loop would have.
+  sim::parallel_for(
+      spec_.classes.size() * probes_per_class, /*threads=*/0,
+      [&](std::size_t i) {
+        const Model& model = spec_.classes[i / probes_per_class].model;
+        Calibration& c = cal[i / probes_per_class];
+        sim::Session s = make_session(cfg, /*with_trace=*/false);
+        if (i % probes_per_class == 0) {
+          c.cold = s.run(model).cycles;
+          // Warm re-run: timing reset only, so L2/TLB contents survive —
+          // the service time of a batch's second and later requests.
+          s.soc().reset_time();
+          c.warm = s.soc().run(s.last_lowered().stream).finish;
+        } else {
+          // Fully contended bound: every core streaming this model against
+          // the shared L2/bus/DRAM at once.
+          c.contended = s.run_multicore(model).cycles;
+        }
+      });
 
-  // Warm re-run: timing reset only, so L2/TLB contents survive — the
-  // service time of a batch's second and later requests.
-  s.soc().reset_time();
-  cal.warm = s.soc().run(s.last_lowered().stream).finish;
-  if (cal.warm > cal.cold) cal.warm = cal.cold;
-
-  if (config_.cores > 1) {
-    // Fully contended bound: every core streaming this model against the
-    // shared L2/bus/DRAM at once.
-    sim::Session m = make_session(cfg, /*with_trace=*/false);
-    cal.contended = m.run_multicore(cls.model).cycles;
-    if (cal.contended < cal.cold) cal.contended = cal.cold;
-  } else {
-    cal.contended = cal.cold;
+  for (Calibration& c : cal) {
+    if (c.warm > c.cold) c.warm = c.cold;
+    if (!multicore || c.contended < c.cold) c.contended = c.cold;
   }
   return cal;
 }
@@ -86,9 +99,7 @@ sim::Report Server::run() {
   const bool faulty = config_.faults.enabled;
   const std::size_t nclasses = spec_.classes.size();
 
-  std::vector<Calibration> cal;
-  cal.reserve(nclasses);
-  for (const RequestClass& c : spec_.classes) cal.push_back(calibrate(c));
+  const std::vector<Calibration> cal = calibrate();
 
   sim::Report rep;
   sim::ServerStats& st = rep.server;

@@ -31,8 +31,17 @@
 //   * EDF preemption re-queues the victim's remaining cycles; the resume
 //     pays another context switch.
 //
+// The calibration probes — per class, cold then warm on one Session, plus
+// the contended run on its own Session — share no state, so they run
+// concurrently on the shared worker pool (sim::parallel_for). When the
+// Server is itself a point on a Sweep worker, they run inline on that
+// worker instead. Each probe writes only its own class's slot and an error
+// surfaces in class order (cold before contended), so the result does not
+// depend on how the probes were scheduled.
+//
 // Everything runs on the simulated clock with the seeded Rng, so a server
-// run is byte-identical across repeats and across Sweep worker threads.
+// run is byte-identical across repeats, across Sweep worker threads, and
+// whether its calibration ran concurrently or inline.
 //
 // Fault integration: if the SocConfig has `faults.enabled`, every dispatch
 // actually re-runs the class model through a fresh faulty Session (seed =
@@ -113,7 +122,8 @@ class Server {
   };
 
   sim::Session make_session(const SocConfig& cfg, bool with_trace) const;
-  Calibration calibrate(const RequestClass& cls) const;
+  /// One Calibration per class, in class order (see the header comment).
+  std::vector<Calibration> calibrate() const;
   /// Linear interpolation between solo and fully-contended service for
   /// `busy` busy cores (this dispatch included) out of N.
   double contention_factor(const Calibration& cal, unsigned busy) const;

@@ -1,13 +1,13 @@
 #include "src/sim/experiment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <tuple>
+
+#include "src/sim/parallel.h"
 
 namespace gemmini::sim {
 
@@ -198,80 +198,35 @@ Report Sweep::run_point(const SweepPoint& point) {
 }
 
 std::vector<Report> Sweep::run(const SweepOptions& opts) const {
-  std::vector<std::optional<Report>> slots(points_.size());
-  std::vector<std::string> errors(points_.size());
-
-  unsigned threads = opts.threads;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  if (threads > points_.size()) {
-    threads = static_cast<unsigned>(points_.size());
-  }
-
-  // Dynamic work distribution: workers pull the next unclaimed point. Which
-  // worker runs which point is scheduling-dependent; the *result* is not,
-  // because every point elaborates its own SoC and writes only its own slot.
+  // Which worker runs which point is scheduling-dependent; the *result* is
+  // not, because every point elaborates its own SoC and writes only its own
+  // slot (see parallel_for's contract).
   //
   // Fail-soft (the default): a throwing point becomes an error report in
   // its own slot and the pool keeps claiming — one poisoned config cannot
   // lose the other N-1 results, and the report vector is byte-identical at
   // any thread count because the error text depends only on the point.
   //
-  // Strict: once any point fails, workers stop claiming new points — a
-  // failed sweep aborts promptly instead of simulating the rest of a large
-  // grid. The deterministic-error guarantee survives early abort: points
-  // are claimed in index order and a claimed point always runs to
-  // completion, so by the time any later point sets `failed`, the
-  // lowest-indexed failing point has already been claimed and will record
-  // its error.
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  auto work = [&]() {
-    while (!(opts.strict && failed.load(std::memory_order_relaxed))) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= points_.size()) break;
-      try {
-        slots[i] = run_point(points_[i]);
-      } catch (const std::exception& e) {
-        errors[i] = e.what();
-      } catch (...) {
-        errors[i] = "unknown error";
-      }
-      if (!slots[i].has_value()) {
-        if (opts.strict) {
-          failed.store(true, std::memory_order_relaxed);
-        } else {
-          slots[i] = error_report(points_[i], errors[i]);
-        }
-      }
+  // Strict: the point's failure propagates, so the pool stops claiming new
+  // points and rethrows the lowest-indexed failure — a failed sweep aborts
+  // promptly, and its error is named by point order, not thread timing.
+  std::vector<Report> reports(points_.size());
+  parallel_for(points_.size(), opts.threads, [&](std::size_t i) {
+    std::string error;
+    try {
+      reports[i] = run_point(points_[i]);
+      return;
+    } catch (const std::exception& e) {
+      error = e.what();
+    } catch (...) {
+      error = "unknown error";
     }
-  };
-
-  if (threads <= 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-  }
-
-  // Strict mode: surface the first recorded failure in *point* order,
-  // independent of which thread hit it first.
-  if (opts.strict) {
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-      if (!slots[i].has_value()) {
-        throw RuntimeError("sweep point " + std::to_string(i) + " '" +
-                           points_[i].name + "' failed: " + errors[i]);
-      }
+    if (opts.strict) {
+      throw RuntimeError("sweep point " + std::to_string(i) + " '" +
+                         points_[i].name + "' failed: " + error);
     }
-  }
-
-  std::vector<Report> reports;
-  reports.reserve(slots.size());
-  for (auto& slot : slots) reports.push_back(std::move(*slot));
+    reports[i] = error_report(points_[i], std::move(error));
+  });
   return reports;
 }
 

@@ -55,8 +55,8 @@ struct SweepPoint {
   bool multicore = false;  ///< run one stream per core instead of core 0
   bool functional = false;
   std::uint64_t seed = 1;
-  std::shared_ptr<const lowering::PlacementPolicy> placement;
-  std::shared_ptr<const lowering::TilingPolicy> tiling;
+  std::shared_ptr<const lowering::PlacementPolicy> placement{};
+  std::shared_ptr<const lowering::TilingPolicy> tiling{};
   /// Cycle-level tracing for this point (disabled by default — tracing a
   /// whole grid would be enormous; see Experiment::trace_point). When
   /// enabled, the point's Report carries the bottleneck table and, if
@@ -77,7 +77,7 @@ struct SweepPoint {
   /// LLM decode workload: when set, the point runs llm::run_decode (the
   /// KV-cache-resident WorkStream) instead of lowering `model` through the
   /// graph IR; `model` is the decode proxy model (labels / CPU baseline).
-  std::optional<llm::DecodeConfig> llm;
+  std::optional<llm::DecodeConfig> llm{};
   /// Telemetry for this point: the metric registry (and, when
   /// `sample_interval_cycles > 0`, the cycle-windowed sampler) rides every
   /// run path — Session, serve::Server, llm decode — and lands in the

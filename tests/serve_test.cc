@@ -1,17 +1,22 @@
 // Tests for the serving layer (src/serve/): arrival-process determinism and
 // JSON round-trips, scheduler policies (FIFO / EDF / batching), bounded
 // admission, the exact-percentile reporting, the load -> 0 identity with
-// Session::run, thread-count byte-identity of serve sweeps, and the
+// Session::run, thread-count byte-identity of serve sweeps and of concurrent
+// calibration, calibration errors raised in class order, and the
 // fault-layer error-response contract under traffic.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/dnn/zoo.h"
 #include "src/model/graph.h"
+#include "src/model/lowering/policy.h"
 #include "src/serve/scheduler.h"
 #include "src/serve/server.h"
 #include "src/serve/traffic.h"
@@ -485,6 +490,100 @@ TEST(Server, DetectedFaultAbortIsErrorResponseNotCrash) {
   EXPECT_EQ(rep.server.completed, 0u);
   EXPECT_EQ(rep.server.errors + rep.server.completed, rep.server.admitted);
   EXPECT_TRUE(rep.reliability.enabled);
+}
+
+// ---- Server: concurrent calibration -----------------------------------------
+
+/// A 4-core SoC serving two request classes: four calibration probes (cold
+/// and contended per class) for the worker pool.
+struct TwoClassScenario {
+  SocConfig cfg;
+  serve::ServeSpec spec;
+
+  TwoClassScenario() {
+    cfg.cores = 4;
+    spec.enabled = true;
+    spec.classes = {{"tiny", tiny_model("tiny"), 3.0, 0},
+                    {"wide", wide_model(), 1.0, 0}};
+    spec.arrivals.requests_per_mcycle = 40.0;
+    spec.arrivals.horizon_cycles = 2'000'000;
+    spec.arrivals.seed = 9;
+    spec.scheduler.policy = serve::ServePolicy::kBatch;
+    spec.scheduler.max_batch = 2;
+  }
+
+  static Model wide_model() {
+    ModelBuilder b("wide");
+    b.input(16, 16, 16);
+    b.conv(32, 3, 1, 1, Activation::kRelu);
+    b.dense(10);
+    return b.build();
+  }
+};
+
+TEST(ServerCalibration, TwoClassFourCoreByteIdenticalInAndOutOfSweeps) {
+  const TwoClassScenario sc;
+  const std::string first = serve::Server(sc.cfg, sc.spec).run().to_json();
+  EXPECT_EQ(serve::Server(sc.cfg, sc.spec).run().to_json(), first);
+
+  // Two points, so a 4-thread sweep runs each Server on a pool worker (its
+  // calibration inline); the 1-thread sweep calibrates on the pool.
+  sim::Sweep sweep;
+  for (const char* name : {"a", "b"}) {
+    sim::SweepPoint p{name, sc.cfg, sc.spec.classes[0].model};
+    p.serve = sc.spec;
+    sweep.add(std::move(p));
+  }
+  const std::vector<sim::Report> r1 = sweep.run({.threads = 1});
+  const std::vector<sim::Report> r4 = sweep.run({.threads = 4});
+  EXPECT_EQ(sim::reports_to_json(r1), sim::reports_to_json(r4));
+  for (sim::Report r : r1) {
+    EXPECT_EQ(r.status, "ok");
+    EXPECT_GT(r.server.completed, 0u);
+    r.point.clear();
+    EXPECT_EQ(r.to_json(), first);
+  }
+}
+
+/// Default placement, except that planning a model named in `failing`
+/// throws; the first failing model stalls before throwing, so on a pool a
+/// later class's error is raised first in wall-clock time.
+class FailingPlacement final : public lowering::PlacementPolicy {
+ public:
+  explicit FailingPlacement(std::vector<std::string> failing)
+      : failing_(std::move(failing)) {}
+  std::string name() const override { return "failing"; }
+  lowering::LayerTarget place(const Model& model, std::size_t layer,
+                              const GemminiConfig& cfg) const override {
+    for (std::size_t i = 0; i < failing_.size(); ++i) {
+      if (model.name() != failing_[i]) continue;
+      if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw RuntimeError("placement refused " + model.name());
+    }
+    return lowering::DefaultPlacement().place(model, layer, cfg);
+  }
+
+ private:
+  std::vector<std::string> failing_;
+};
+
+TEST(ServerCalibration, FirstFailingClassInClassOrderIsRaised) {
+  TwoClassScenario sc;
+  sc.spec.classes.push_back({"late", tiny_model("late"), 1.0, 0});
+  serve::ServerOptions opts;
+  opts.placement =
+      std::make_shared<const FailingPlacement>(std::vector<std::string>{
+          "wide", "late"});
+  for (int rep = 0; rep < 3; ++rep) {
+    try {
+      serve::Server(sc.cfg, sc.spec, opts).run();
+      FAIL() << "calibration should have thrown";
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find("placement refused wide"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- Sweep integration ------------------------------------------------------

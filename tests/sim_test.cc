@@ -1,13 +1,20 @@
 // Tests for the unified simulation facade: sim::Session (builder,
 // validation, push-button runs, report consistency), sim::Sweep /
-// sim::Experiment (grid expansion, parallel determinism) and sim::Report
-// (JSON serialization).
+// sim::Experiment (grid expansion, parallel determinism), the shared
+// sim::parallel_for worker pool, and sim::Report (JSON serialization).
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/dnn/zoo.h"
 #include "src/model/lowering/pipeline.h"
 #include "src/sim/experiment.h"
+#include "src/sim/parallel.h"
 #include "src/sim/report.h"
 #include "src/sim/session.h"
 
@@ -227,6 +234,56 @@ TEST(SimReport, JsonIsDeterministicAndStructured) {
   }
   // Compact mode emits no newlines.
   EXPECT_EQ(r1.to_json(0).find('\n'), std::string::npos);
+}
+
+// ---- parallel_for -------------------------------------------------------------
+
+TEST(SimParallelFor, EveryIndexRunsExactlyOnce) {
+  for (const unsigned threads : {0u, 1u, 4u, 64u}) {
+    std::vector<std::atomic<int>> runs(500);
+    sim::parallel_for(runs.size(), threads, [&](std::size_t i) { ++runs[i]; });
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "index " << i << ", threads " << threads;
+    }
+  }
+  sim::parallel_for(0, 4, [](std::size_t) { FAIL() << "n = 0 runs nothing"; });
+}
+
+TEST(SimParallelFor, LowestIndexExceptionWins) {
+  // Index 3 stalls before throwing, so on a pool the later failures are
+  // raised first in wall-clock time; the lowest index still wins.
+  for (const unsigned threads : {1u, 4u}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      try {
+        sim::parallel_for(32, threads, [](std::size_t i) {
+          if (i == 3) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          }
+          if (i == 3 || i == 5 || i == 17) {
+            throw RuntimeError("index " + std::to_string(i));
+          }
+        });
+        FAIL() << "parallel_for should have thrown";
+      } catch (const RuntimeError& e) {
+        EXPECT_STREQ(e.what(), "index 3") << "threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(SimParallelFor, NestedCallRunsInline) {
+  std::vector<std::thread::id> outer(4);
+  std::vector<std::vector<std::thread::id>> inner(
+      4, std::vector<std::thread::id>(8));
+  sim::parallel_for(outer.size(), 4, [&](std::size_t i) {
+    outer[i] = std::this_thread::get_id();
+    sim::parallel_for(inner[i].size(), 4, [&](std::size_t j) {
+      inner[i][j] = std::this_thread::get_id();
+    });
+  });
+  for (std::size_t i = 0; i < outer.size(); ++i) {
+    for (const std::thread::id id : inner[i]) EXPECT_EQ(id, outer[i]);
+  }
 }
 
 // ---- Sweep / Experiment -----------------------------------------------------
