@@ -57,9 +57,8 @@ int main(int argc, char** argv) {
       cfg.cores = cores;
       cfg.accel.has_im2col = true;
       std::string label = cfg.name + "-c" + std::to_string(cores);
-      sweep.add({std::move(label), std::move(cfg), model,
-                 /*multicore=*/true, /*functional=*/false, /*seed=*/1,
-                 /*placement=*/nullptr, /*tiling=*/nullptr});
+      sweep.add({std::move(label), std::move(cfg),
+                 sim::Inference{model, /*multicore=*/true}});
     }
   }
   const std::vector<sim::Report> reports = sweep.run();

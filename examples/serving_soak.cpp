@@ -40,7 +40,6 @@ int main() {
               static_cast<unsigned long long>(cold), capacity);
 
   serve::ServeSpec spec;
-  spec.enabled = true;
   spec.arrivals.horizon_cycles = 60 * cold;
   spec.arrivals.seed = 21;
   spec.scheduler.admission_capacity = 32;

@@ -60,9 +60,8 @@ int main(int argc, char** argv) {
     cfg.accel.translation.private_tlb.entries = 4;
     cfg.accel.translation.l2_tlb_present = false;
     cfg.accel.translation.filter_registers = true;
-    sweep.add({"p4-s0-filt-exhaustive", std::move(cfg), model,
-               /*multicore=*/false, /*functional=*/false, /*seed=*/1,
-               /*placement=*/nullptr,
+    sweep.add({"p4-s0-filt-exhaustive", std::move(cfg), sim::Inference{model},
+               /*functional=*/false, /*seed=*/1, /*placement=*/nullptr,
                std::make_shared<const lowering::ExhaustiveTiling>()});
   }
 

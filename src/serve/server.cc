@@ -22,6 +22,15 @@ void ServeSpec::validate() const {
   }
 }
 
+std::string ServeSpec::label() const {
+  std::string out;
+  for (const RequestClass& c : classes) {
+    if (!out.empty()) out += "+";
+    out += c.name;
+  }
+  return out;
+}
+
 Server::Server(SocConfig config, ServeSpec spec, Options opts)
     : config_(std::move(config)), spec_(std::move(spec)), opts_(std::move(opts)) {
   spec_.validate();
@@ -453,12 +462,7 @@ sim::Report Server::run() {
 
   // ---- Report skeleton ------------------------------------------------------
   rep.config = config_.name;
-  std::string model_label;
-  for (const RequestClass& c : spec_.classes) {
-    if (!model_label.empty()) model_label += "+";
-    model_label += c.name;
-  }
-  rep.model = model_label;
+  rep.model = spec_.label();
   rep.cores = ncores;
   rep.cycles = st.makespan;
   rep.seconds = static_cast<double>(rep.cycles) /

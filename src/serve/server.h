@@ -66,8 +66,10 @@
 namespace gemmini::serve {
 
 /// Everything a serving scenario adds on top of a SocConfig. Carried by
-/// value on sweep points (sim::SweepPoint::serve).
+/// value on sweep points (sim::Serve).
 struct ServeSpec {
+  /// Ignored: a sweep point serves when its workload is sim::Serve. Kept
+  /// only until benchmark/workloads.cc stops setting it.
   bool enabled = false;
   ArrivalConfig arrivals{};
   /// Request classes. Experiment fills a single class from the point's
@@ -82,6 +84,8 @@ struct ServeSpec {
   bool trace_missed = false;
 
   void validate() const;
+  /// The serve Report's `model`: the class names joined with "+".
+  std::string label() const;
 };
 
 /// Session knobs forwarded to every internal Session (calibration, faulty

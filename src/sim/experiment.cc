@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <tuple>
+#include <type_traits>
 
 #include "src/sim/parallel.h"
 
@@ -17,11 +17,8 @@ Sweep& Sweep::add(SweepPoint point) {
 }
 
 Sweep& Sweep::add(std::string name, SocConfig config, Model model) {
-  return add(SweepPoint{std::move(name), std::move(config), std::move(model),
-                        /*multicore=*/false, /*functional=*/false,
-                        /*seed=*/1, /*placement=*/nullptr,
-                        /*tiling=*/nullptr, /*trace=*/{},
-                        /*campaign_runs=*/0});
+  return add(SweepPoint{std::move(name), std::move(config),
+                        Inference{std::move(model)}});
 }
 
 namespace {
@@ -39,53 +36,76 @@ Session build_session(const SweepPoint& point, const SocConfig& cfg,
       .build();
 }
 
+/// Runs `run` on the point's traced Session over `cfg` and writes the
+/// Perfetto trace to `trace.export_path` when the point is traced.
+template <typename Run>
+Report run_session(const SweepPoint& point, const SocConfig& cfg, Run&& run) {
+  Session session = build_session(point, cfg, /*with_trace=*/true);
+  Report rep = run(session);
+  if (session.tracing() && !point.trace.export_path.empty() &&
+      !session.write_trace(point.trace.export_path)) {
+    throw RuntimeError("sweep point '" + point.name +
+                       "': could not write trace to " +
+                       point.trace.export_path);
+  }
+  return rep;
+}
+
+/// The last run's final-layer output bytes.
+std::vector<std::uint8_t> read_output(Session& session) {
+  const LoweredModel& lowered = session.last_lowered();
+  std::vector<std::uint8_t> out(lowered.layer_bytes.back());
+  session.address_space().read_virt(lowered.layer_output.back(), out.data(),
+                                    out.size());
+  return out;
+}
+
 /// Fault campaign for one sweep point: a fault-free golden run supplies the
-/// report (timing, estimates, reference output), then `campaign_runs`
-/// fresh sessions rerun the same workload with fault seeds base+i and each
-/// run is classified against the golden output:
+/// report (timing, observers, reference output), then `c.runs` fresh
+/// sessions rerun the same workload with fault seeds base+i and each run is
+/// classified against the golden output:
 ///
 ///   threw                      -> "detected"  (watchdog, DMA abort, ...)
 ///   mismatch, ECC flagged any  -> "detected"
 ///   mismatch, nothing flagged  -> "sdc"       (silent data corruption)
 ///   match, ECC corrected any   -> "corrected"
 ///   match otherwise            -> "masked"
-Report run_campaign(const SweepPoint& point) {
+Report run_campaign(const SweepPoint& point, const Campaign& c) {
   GEMMINI_CONFIG_REQUIRE(point.config.faults.enabled,
                          "sweep point '" + point.name +
-                             "': campaign_runs > 0 needs config.faults.enabled");
+                             "': a campaign needs config.faults.enabled");
   GEMMINI_CONFIG_REQUIRE(point.functional,
                          "sweep point '" + point.name +
                              "': fault campaigns compare outputs, so the "
                              "point must be functional");
-  GEMMINI_CONFIG_REQUIRE(!point.multicore,
-                         "sweep point '" + point.name +
-                             "': fault campaigns are single-core");
 
   SocConfig golden_cfg = point.config;
   golden_cfg.faults.enabled = false;
-  Session golden = build_session(point, golden_cfg, /*with_trace=*/true);
-  Report rep = golden.run(point.model);
-  rep.point = point.name;
-
-  const LoweredModel& lowered = golden.last_lowered();
-  std::vector<std::uint8_t> golden_out(lowered.layer_bytes.back());
-  golden.address_space().read_virt(lowered.layer_output.back(),
-                                   golden_out.data(), golden_out.size());
+  std::vector<std::uint8_t> golden_out;
+  Report rep = run_session(point, golden_cfg, [&](Session& golden) {
+    Report r = golden.run(c.model);
+    golden_out = read_output(golden);
+    return r;
+  });
 
   ReliabilityReport& rel = rep.reliability;
   rel.enabled = true;
   rel.seed = point.config.faults.seed;
-  rel.campaign_runs = point.campaign_runs;
+  rel.campaign_runs = c.runs;
   rel.golden_cycles = rep.cycles;
 
+  auto classify = [&rel](unsigned& count, const char* outcome) {
+    ++count;
+    rel.run_outcomes.push_back(outcome);
+  };
   unsigned faulty_runs = 0;
-  for (unsigned i = 0; i < point.campaign_runs; ++i) {
+  for (unsigned i = 0; i < c.runs; ++i) {
     SocConfig cfg = point.config;
     cfg.faults.seed = point.config.faults.seed + i;
     Session session = build_session(point, cfg, /*with_trace=*/false);
     bool threw = false;
     try {
-      session.run(point.model);
+      session.run(c.model);
     } catch (const std::exception&) {
       threw = true;
     }
@@ -93,34 +113,20 @@ Report run_campaign(const SweepPoint& point) {
     rel.injection += stats;
     if (stats.total_injected() > 0) ++faulty_runs;
 
-    std::string outcome;
-    if (threw) {
-      outcome = "detected";
+    const bool mismatch = threw || read_output(session) != golden_out;
+    if (threw || (mismatch && stats.ecc_detected_uncorrectable > 0)) {
+      classify(rel.detected, "detected");
+    } else if (mismatch) {
+      classify(rel.sdc, "sdc");
+    } else if (stats.ecc_corrected > 0) {
+      classify(rel.corrected, "corrected");
     } else {
-      std::vector<std::uint8_t> out(golden_out.size());
-      session.address_space().read_virt(
-          session.last_lowered().layer_output.back(), out.data(), out.size());
-      if (out != golden_out) {
-        outcome = stats.ecc_detected_uncorrectable > 0 ? "detected" : "sdc";
-      } else {
-        outcome = stats.ecc_corrected > 0 ? "corrected" : "masked";
-      }
+      classify(rel.masked, "masked");
     }
-    if (outcome == "masked") {
-      ++rel.masked;
-    } else if (outcome == "corrected") {
-      ++rel.corrected;
-    } else if (outcome == "detected") {
-      ++rel.detected;
-    } else {
-      ++rel.sdc;
-    }
-    rel.run_outcomes.push_back(std::move(outcome));
   }
 
-  if (point.campaign_runs > 0) {
-    rel.sdc_rate =
-        static_cast<double>(rel.sdc) / static_cast<double>(point.campaign_runs);
+  if (c.runs > 0) {
+    rel.sdc_rate = static_cast<double>(rel.sdc) / static_cast<double>(c.runs);
   }
   if (faulty_runs > 0) {
     rel.detection_rate =
@@ -130,70 +136,63 @@ Report run_campaign(const SweepPoint& point) {
   return rep;
 }
 
-/// The fail-soft stand-in for a point whose run threw: the label and the
-/// exception message survive in the point's report slot, the rest stays
-/// default-initialized.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
+
+/// The fail-soft stand-in for a point whose run threw: the labels (`model`
+/// as a successful run would report it) and the exception message survive
+/// in the point's report slot, the rest stays default-initialized.
 Report error_report(const SweepPoint& point, std::string message) {
   Report rep;
   rep.point = point.name;
   rep.status = "error";
   rep.error = std::move(message);
   rep.config = point.config.name;
-  rep.model = point.model.name();
+  rep.model = std::visit(
+      Overloaded{[](const Decode& w) { return w.config.label(); },
+                 [](const Serve& w) { return w.spec.label(); },
+                 [](const auto& w) { return w.model.name(); }},
+      point.workload);
   return rep;
 }
 
 }  // namespace
 
 Report Sweep::run_point(const SweepPoint& point) {
-  if (point.llm.has_value()) {
-    Session session = Session::builder(point.config)
-                          .functional(point.functional)
-                          .seed(point.seed)
-                          .trace(point.trace)
-                          .metrics(point.metrics)
-                          .energy(point.energy)
-                          .build();
-    Report rep = llm::run_decode(session, *point.llm);
-    rep.point = point.name;
-    if (session.tracing() && !point.trace.export_path.empty()) {
-      if (!session.write_trace(point.trace.export_path)) {
-        throw RuntimeError("sweep point '" + point.name +
-                           "': could not write trace to " +
-                           point.trace.export_path);
-      }
-    }
-    return rep;
-  }
-  if (point.serve.enabled) {
-    serve::Server server(
-        point.config, point.serve,
-        serve::Server::Options{point.functional, point.seed, point.placement,
-                               point.tiling, point.metrics});
-    Report rep = server.run();
-    rep.point = point.name;
-    return rep;
-  }
-  if (point.campaign_runs > 0) return run_campaign(point);
-  Session session = Session::builder(point.config)
-                        .functional(point.functional)
-                        .seed(point.seed)
-                        .placement(point.placement)
-                        .tiling(point.tiling)
-                        .trace(point.trace)
-                        .metrics(point.metrics)
-                        .energy(point.energy)
-                        .build();
-  Report rep = point.multicore ? session.run_multicore(point.model)
-                               : session.run(point.model);
+  Report rep = std::visit(
+      Overloaded{
+          [&](const Inference& w) {
+            return run_session(point, point.config, [&](Session& s) {
+              return w.multicore ? s.run_multicore(w.model) : s.run(w.model);
+            });
+          },
+          [&](const Decode& w) {
+            return run_session(point, point.config, [&](Session& s) {
+              return llm::run_decode(s, w.config);
+            });
+          },
+          [&](const Serve& w) {
+            // A Server has no single Session to trace or meter: refuse
+            // those settings rather than drop them.
+            GEMMINI_CONFIG_REQUIRE(
+                !point.trace.enabled && !point.energy.active(),
+                "sweep point '" + point.name +
+                    "': serve points take no trace or energy meter; use "
+                    "ServeSpec::trace_missed for per-request bottlenecks");
+            return serve::Server(point.config, w.spec,
+                                 {point.functional, point.seed,
+                                  point.placement, point.tiling,
+                                  point.metrics})
+                .run();
+          },
+          [&](const Campaign& w) { return run_campaign(point, w); },
+      },
+      point.workload);
   rep.point = point.name;
-  if (session.tracing() && !point.trace.export_path.empty()) {
-    if (!session.write_trace(point.trace.export_path)) {
-      throw RuntimeError("sweep point '" + point.name +
-                         "': could not write trace to " +
-                         point.trace.export_path);
-    }
-  }
   return rep;
 }
 
@@ -245,6 +244,21 @@ std::string human_bytes(const char* prefix, std::uint64_t bytes) {
     oss << bytes << "B";
   }
   return oss.str();
+}
+
+/// An axis's values, or just `base` when the axis is unset.
+template <typename T>
+std::vector<T> axis_or(const std::vector<T>& axis,
+                       std::type_identity_t<T> base) {
+  return axis.empty() ? std::vector<T>{std::move(base)} : axis;
+}
+
+/// Appends `part` to a point label, "-"-separated; an empty part adds
+/// nothing.
+void append_label(std::string& label, const std::string& part) {
+  if (part.empty()) return;
+  if (!label.empty()) label += "-";
+  label += part;
 }
 
 }  // namespace
@@ -312,7 +326,6 @@ Experiment& Experiment::fault_campaign(unsigned runs) {
 }
 Experiment& Experiment::serve(serve::ServeSpec spec) {
   serve_spec_ = std::move(spec);
-  serve_spec_.enabled = true;
   return *this;
 }
 Experiment& Experiment::llm(llm::DecodeConfig base) {
@@ -388,18 +401,35 @@ Sweep Experiment::sweep() const {
                                 llm_steps_.empty() && llm_int4_.empty()),
       "sim::Experiment: llm_batches()/llm_kv_layouts()/llm_decode_steps()/"
       "llm_int4() need llm()");
-  if (llm_base_.has_value()) {
-    GEMMINI_CONFIG_REQUIRE(!serve_spec_.enabled && campaign_runs_ == 0 &&
-                               !multicore_,
-                           "sim::Experiment: llm() is a single-core workload "
-                           "and excludes serve() and fault_campaign()");
-  }
+  GEMMINI_CONFIG_REQUIRE(
+      !multicore_ || (!llm_base_ && !serve_spec_ && campaign_runs_ == 0),
+      "sim::Experiment: multicore() applies to inference points only (llm() "
+      "decodes on one core, serve() schedules requests across the cores "
+      "itself, and fault campaigns are single-core)");
+  GEMMINI_CONFIG_REQUIRE(!llm_base_ || (!serve_spec_ && campaign_runs_ == 0),
+                         "sim::Experiment: llm() excludes serve() and "
+                         "fault_campaign()");
   GEMMINI_CONFIG_REQUIRE(
       explicit_configs_.empty() ||
           (geometries_.empty() && sp_sizes_.empty() && l2_sizes_.empty() &&
            core_counts_.empty() && dram_channels_.empty() &&
            dram_schedulers_.empty() && dram_interleaves_.empty()),
       "sim::Experiment: configs() cannot be combined with per-axis setters");
+  GEMMINI_CONFIG_REQUIRE(campaign_runs_ == 0 || functional_,
+                         "sim::Experiment: fault_campaign() compares outputs, "
+                         "so it needs functional()");
+  GEMMINI_CONFIG_REQUIRE(campaign_runs_ == 0 || !serve_spec_,
+                         "sim::Experiment: fault_campaign() and serve() are "
+                         "mutually exclusive (serving runs classify faulty "
+                         "requests as error responses instead)");
+  GEMMINI_CONFIG_REQUIRE(
+      serve_spec_ || (offered_loads_.empty() && serve_policies_.empty()),
+      "sim::Experiment: offered_loads()/serve_policies() need serve()");
+  for (const double l : offered_loads_) {
+    GEMMINI_CONFIG_REQUIRE(l > 0, "sim::Experiment: offered_loads entries "
+                                  "must be > 0 requests/Mcycle (got "
+                                      << l << ")");
+  }
 
   // Expand the config grid one axis at a time, tagging each variant with
   // the axes that produced it.
@@ -408,27 +438,25 @@ Sweep Experiment::sweep() const {
     std::string label;
   };
   std::vector<Variant> variants;
+  auto expand = [&variants](auto&& apply, std::size_t count) {
+    if (count == 0) return;
+    std::vector<Variant> next;
+    next.reserve(variants.size() * count);
+    for (const Variant& v : variants) {
+      for (std::size_t i = 0; i < count; ++i) {
+        Variant nv = v;
+        append_label(nv.label, apply(nv.cfg, i));
+        next.push_back(std::move(nv));
+      }
+    }
+    variants = std::move(next);
+  };
   if (!explicit_configs_.empty()) {
     for (const SocConfig& cfg : explicit_configs_) {
       variants.push_back({cfg, cfg.name});
     }
   } else {
     variants.push_back({base_, ""});
-    auto expand = [&variants](auto&& apply, std::size_t count) {
-      if (count == 0) return;
-      std::vector<Variant> next;
-      next.reserve(variants.size() * count);
-      for (const Variant& v : variants) {
-        for (std::size_t i = 0; i < count; ++i) {
-          Variant nv = v;
-          const std::string part = apply(nv.cfg, i);
-          if (!nv.label.empty()) nv.label += "-";
-          nv.label += part;
-          next.push_back(std::move(nv));
-        }
-      }
-      variants = std::move(next);
-    };
     expand(
         [this](SocConfig& cfg, std::size_t i) {
           const SpatialArrayGeometry& g = geometries_[i];
@@ -454,9 +482,7 @@ Sweep Experiment::sweep() const {
     expand(
         [this](SocConfig& cfg, std::size_t i) {
           cfg.cores = core_counts_[i];
-          std::string part = "c";
-          part += std::to_string(core_counts_[i]);
-          return part;
+          return "c" + std::to_string(core_counts_[i]);
         },
         core_counts_.size());
     expand(
@@ -479,188 +505,112 @@ Sweep Experiment::sweep() const {
         },
         dram_interleaves_.size());
   }
-
   // The fault-model axis composes with every config axis, including
   // explicit configs: each FaultConfig replaces the variant's `faults`
   // wholesale, so a disabled entry doubles as a fault-free baseline column.
-  if (!fault_configs_.empty()) {
-    std::vector<Variant> next;
-    next.reserve(variants.size() * fault_configs_.size());
-    for (const Variant& v : variants) {
-      for (std::size_t i = 0; i < fault_configs_.size(); ++i) {
-        Variant nv = v;
-        nv.cfg.faults = fault_configs_[i];
-        std::string part = fault_configs_[i].name.empty()
-                               ? "f" + std::to_string(i)
-                               : fault_configs_[i].name;
-        if (!nv.label.empty()) nv.label += "-";
-        nv.label += part;
-        next.push_back(std::move(nv));
-      }
-    }
-    variants = std::move(next);
-  }
+  expand(
+      [this](SocConfig& cfg, std::size_t i) {
+        cfg.faults = fault_configs_[i];
+        return cfg.faults.name.empty() ? "f" + std::to_string(i)
+                                       : cfg.faults.name;
+      },
+      fault_configs_.size());
 
-  if (campaign_runs_ > 0) {
-    GEMMINI_CONFIG_REQUIRE(functional_ && !multicore_,
-                           "sim::Experiment: fault_campaign() needs "
-                           "functional() single-core points");
-    GEMMINI_CONFIG_REQUIRE(!serve_spec_.enabled,
-                           "sim::Experiment: fault_campaign() and serve() are "
-                           "mutually exclusive (serving runs classify faulty "
-                           "requests as error responses instead)");
-  }
-  GEMMINI_CONFIG_REQUIRE(
-      serve_spec_.enabled || (offered_loads_.empty() && serve_policies_.empty()),
-      "sim::Experiment: offered_loads()/serve_policies() need serve()");
-  for (const double l : offered_loads_) {
-    GEMMINI_CONFIG_REQUIRE(l > 0, "sim::Experiment: offered_loads entries "
-                                  "must be > 0 requests/Mcycle (got "
-                                      << l << ")");
-  }
-
-  // Serving axes: (offered load x scheduler policy), expanded around every
-  // config/policy column below. A single unlabeled column keeps the
-  // ServeSpec's own rate/scheduler when an axis is unset.
-  struct ServeVariant {
-    double load = 0;  ///< 0 = keep spec rate
-    serve::ServeConfig scheduler{};
-    std::string label;
+  // Workload columns: the llm decode grid (batch x layout x steps x int4
+  // around the llm() base config), or the serving grid (offered load x
+  // scheduler policy x model), or the model list; an unset axis keeps the
+  // base value. A column's `axes` extend the point's config label; its
+  // `name` (the model's, or the decode config's label) follows the "/".
+  struct Column {
+    std::string axes;
+    std::string name;
+    Workload workload;
   };
-  std::vector<ServeVariant> serve_variants;
-  if (serve_spec_.enabled) {
-    std::vector<std::pair<double, std::string>> loads;
-    if (offered_loads_.empty()) {
-      loads.push_back({0.0, ""});
-    } else {
-      for (const double l : offered_loads_) {
-        std::ostringstream oss;
-        oss << "load" << l;
-        loads.push_back({l, oss.str()});
-      }
-    }
-    std::vector<std::pair<serve::ServeConfig, std::string>> pols;
-    if (serve_policies_.empty()) {
-      pols.push_back({serve_spec_.scheduler, ""});
-    } else {
-      for (const serve::ServeConfig& sc : serve_policies_) {
-        pols.push_back({sc, sc.label()});
-      }
-    }
-    for (const auto& [load, load_label] : loads) {
-      for (const auto& [sc, sc_label] : pols) {
-        ServeVariant sv;
-        sv.load = load;
-        sv.scheduler = sc;
-        sv.label = load_label;
-        if (!sc_label.empty()) {
-          if (!sv.label.empty()) sv.label += "-";
-          sv.label += sc_label;
-        }
-        serve_variants.push_back(std::move(sv));
-      }
-    }
-  } else {
-    serve_variants.push_back({});
-  }
-
-  // Workload list: either the explicit model list or the llm decode grid
-  // (batch x layout x steps x int4 around the llm() base config); an unset
-  // llm axis keeps the base value. The proxy model's name — the decode
-  // config's label — becomes the point's model label.
-  struct WorkloadItem {
-    Model model;
-    std::optional<llm::DecodeConfig> llm;
-  };
-  std::vector<WorkloadItem> workloads;
+  std::vector<Column> columns;
   if (llm_base_.has_value()) {
-    const std::vector<unsigned> batches =
-        llm_batches_.empty() ? std::vector<unsigned>{llm_base_->batch}
-                             : llm_batches_;
-    const std::vector<llm::KvLayout> layouts =
-        llm_layouts_.empty() ? std::vector<llm::KvLayout>{llm_base_->kv_layout}
-                             : llm_layouts_;
-    const std::vector<std::uint64_t> steps =
-        llm_steps_.empty() ? std::vector<std::uint64_t>{llm_base_->decode_steps}
-                           : llm_steps_;
-    const std::vector<bool> int4s =
-        llm_int4_.empty() ? std::vector<bool>{llm_base_->int4_weights}
-                          : llm_int4_;
-    for (const unsigned b : batches) {
-      for (const llm::KvLayout layout : layouts) {
-        for (const std::uint64_t t : steps) {
-          for (const bool i4 : int4s) {
+    for (const unsigned b : axis_or(llm_batches_, llm_base_->batch)) {
+      for (const llm::KvLayout layout :
+           axis_or(llm_layouts_, llm_base_->kv_layout)) {
+        for (const std::uint64_t t :
+             axis_or(llm_steps_, llm_base_->decode_steps)) {
+          for (const bool i4 : axis_or(llm_int4_, llm_base_->int4_weights)) {
             llm::DecodeConfig c = *llm_base_;
             c.batch = b;
             c.kv_layout = layout;
             c.decode_steps = t;
             c.int4_weights = i4;
             c.validate();
-            workloads.push_back({llm::proxy_model(c), std::move(c)});
+            columns.push_back({"", c.label(), Decode{std::move(c)}});
           }
         }
       }
     }
+  } else if (serve_spec_) {
+    std::vector<std::pair<double, std::string>> loads;  // 0 = keep spec rate
+    for (const double l : offered_loads_) {
+      std::ostringstream oss;
+      oss << "load" << l;
+      loads.push_back({l, oss.str()});
+    }
+    if (loads.empty()) loads.push_back({0.0, ""});
+    std::vector<std::pair<serve::ServeConfig, std::string>> pols;
+    for (const serve::ServeConfig& sc : serve_policies_) {
+      pols.push_back({sc, sc.label()});
+    }
+    if (pols.empty()) pols.push_back({serve_spec_->scheduler, ""});
+    for (const auto& [load, load_label] : loads) {
+      for (const auto& [sc, sc_label] : pols) {
+        std::string axes = load_label;
+        append_label(axes, sc_label);
+        for (const Model& m : models_) {
+          serve::ServeSpec sp = *serve_spec_;
+          if (load > 0) sp.arrivals.requests_per_mcycle = load;
+          sp.scheduler = sc;
+          if (sp.classes.empty()) {
+            sp.classes.push_back(serve::RequestClass{
+                m.name(), m, 1.0, sp.default_deadline_cycles});
+          }
+          columns.push_back({axes, m.name(), Serve{std::move(sp)}});
+        }
+      }
+    }
   } else {
-    for (const Model& m : models_) workloads.push_back({m, std::nullopt});
+    for (const Model& m : models_) {
+      columns.push_back({"", m.name(), Inference{m, multicore_}});
+    }
   }
 
   // The lowering-policy axes compose with every config axis (they are
   // orthogonal to the SocConfig, so they combine with explicit configs
   // too). An unset axis contributes one "default" column with no label.
-  using PlacementPtr = std::shared_ptr<const lowering::PlacementPolicy>;
-  using TilingPtr = std::shared_ptr<const lowering::TilingPolicy>;
-  const std::vector<PlacementPtr> placements =
-      placement_policies_.empty() ? std::vector<PlacementPtr>{nullptr}
-                                  : placement_policies_;
-  const std::vector<TilingPtr> tilings =
-      tiling_policies_.empty() ? std::vector<TilingPtr>{nullptr}
-                               : tiling_policies_;
-
   Sweep sw;
   for (const Variant& v : variants) {
-    for (const PlacementPtr& pp : placements) {
-      for (const TilingPtr& tp : tilings) {
-        std::string label = v.label;
-        for (const std::string& part :
-             {pp ? pp->name() : std::string{}, tp ? tp->name() : std::string{}}) {
-          if (part.empty()) continue;
-          if (!label.empty()) label += "-";
-          label += part;
-        }
-        for (const ServeVariant& sv : serve_variants) {
-          std::string serve_label = label;
-          if (!sv.label.empty()) {
-            if (!serve_label.empty()) serve_label += "-";
-            serve_label += sv.label;
+    for (const auto& pp : axis_or(placement_policies_, nullptr)) {
+      for (const auto& tp : axis_or(tiling_policies_, nullptr)) {
+        for (const Column& col : columns) {
+          std::string label = v.label;
+          append_label(label, pp ? pp->name() : "");
+          append_label(label, tp ? tp->name() : "");
+          append_label(label, col.axes);
+          SweepPoint p{label.empty() ? col.name : label + "/" + col.name,
+                       v.cfg,
+                       col.workload,
+                       functional_,
+                       seed_,
+                       pp,
+                       tp};
+          // Campaigns only make sense for fault-enabled points; a baseline
+          // column in the faults axis runs once, normally.
+          if (campaign_runs_ > 0 && v.cfg.faults.enabled) {
+            p.workload = Campaign{std::get<Inference>(col.workload).model,
+                                  campaign_runs_};
           }
-          for (const WorkloadItem& w : workloads) {
-            const Model& m = w.model;
-            SweepPoint p{serve_label.empty() ? m.name()
-                                             : serve_label + "/" + m.name(),
-                         v.cfg, m, multicore_, functional_, seed_, pp, tp,
-                         /*trace=*/{}, /*campaign_runs=*/0};
-            p.llm = w.llm;
-            p.metrics = metrics_cfg_;
-            p.energy = energy_cfg_;
-            if (!trace_point_name_.empty() && p.name == trace_point_name_) {
-              p.trace = trace_cfg_;
-            }
-            // Campaigns only make sense for fault-enabled points; a baseline
-            // column in the faults axis runs once, normally.
-            if (v.cfg.faults.enabled) p.campaign_runs = campaign_runs_;
-            if (serve_spec_.enabled) {
-              serve::ServeSpec sp = serve_spec_;
-              if (sv.load > 0) sp.arrivals.requests_per_mcycle = sv.load;
-              sp.scheduler = sv.scheduler;
-              if (sp.classes.empty()) {
-                sp.classes.push_back(serve::RequestClass{
-                    m.name(), m, 1.0, sp.default_deadline_cycles});
-              }
-              p.serve = std::move(sp);
-            }
-            sw.add(std::move(p));
+          p.metrics = metrics_cfg_;
+          p.energy = energy_cfg_;
+          if (!trace_point_name_.empty() && p.name == trace_point_name_) {
+            p.trace = trace_cfg_;
           }
+          sw.add(std::move(p));
         }
       }
     }
@@ -733,7 +683,7 @@ SearchResult Experiment::search(const SearchSpec& spec) const {
   const Sweep grid = sweep();
   for (const SweepPoint& p : grid.points()) {
     GEMMINI_CONFIG_REQUIRE(
-        !p.serve.enabled && p.campaign_runs == 0 && !p.llm.has_value(),
+        std::holds_alternative<Inference>(p.workload),
         "sim::Experiment::search: point '" +
             p.name +
             "': search races layer-prefix proxies, so it needs plain "
@@ -758,7 +708,8 @@ SearchResult Experiment::search(const SearchSpec& spec) const {
     rung.fraction = fraction;
     for (const std::size_t idx : survivors) {
       SweepPoint p = grid.points()[idx];
-      p.model = prefix_model(p.model, fraction);
+      Model& m = std::get<Inference>(p.workload).model;
+      m = prefix_model(m, fraction);
       rung.points.push_back(p.name);
       rung_sweep.add(std::move(p));
     }

@@ -2,7 +2,7 @@
 // sim::Sweep / sim::Experiment — the design-space-exploration driver.
 //
 // A Sweep is an ordered list of independent experiment points (one SocConfig
-// + one Model each). `run()` fans the points across a pool of worker
+// + one typed Workload each). `run()` fans the points across a pool of worker
 // threads; every worker elaborates its *own* Session (own Soc, own memory
 // system, own address spaces), so points never share mutable simulator state
 // and the result vector is deterministic: byte-identical reports whether the
@@ -29,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/energy/energy.h"
@@ -43,7 +44,39 @@
 
 namespace gemmini::sim {
 
-/// One independent experiment: a config, a model, and how to run it.
+/// One graph-IR inference: Session::run, or Session::run_multicore (one
+/// stream per core) when `multicore`.
+struct Inference {
+  Model model;
+  bool multicore = false;
+};
+/// Autoregressive LLM decode (llm::run_decode): the KV-cache-resident
+/// WorkStream instead of a graph-IR lowering.
+struct Decode {
+  llm::DecodeConfig config;
+};
+/// Serving scenario (serve::Server): open-loop traffic over `spec.classes`
+/// plus the scheduler; the Report's `server` section carries the traffic
+/// statistics. A serve point takes no trace or energy meter (see
+/// ServeSpec::trace_missed for per-request bottlenecks).
+struct Serve {
+  serve::ServeSpec spec;
+};
+/// Fault campaign: a fault-free golden run of `model` supplies the report
+/// (timing, observers, reference output), then `runs` reruns with fault
+/// seeds base+0..base+runs-1 are classified against it (masked / corrected
+/// / detected / sdc) in the `reliability` section. Requires `functional`
+/// (output comparison) and `config.faults.enabled`.
+struct Campaign {
+  Model model;
+  unsigned runs = 0;
+};
+/// What a sweep point runs. Each kind is its own type, so a point cannot
+/// mix kinds (a multicore decode, a serving campaign): the variant rules
+/// those out, not a runtime check.
+using Workload = std::variant<Inference, Decode, Serve, Campaign>;
+
+/// One independent experiment: a config, a workload, and how to run it.
 /// `placement`/`tiling` select the lowering-pipeline policies for this
 /// point (nullptr = the paper's default heuristics). Policy objects are
 /// shared across worker threads, so they must be deterministic and
@@ -51,8 +84,7 @@ namespace gemmini::sim {
 struct SweepPoint {
   std::string name;  ///< unique label, copied into Report::point
   SocConfig config;
-  Model model;
-  bool multicore = false;  ///< run one stream per core instead of core 0
+  Workload workload;
   bool functional = false;
   std::uint64_t seed = 1;
   std::shared_ptr<const lowering::PlacementPolicy> placement{};
@@ -61,23 +93,8 @@ struct SweepPoint {
   /// whole grid would be enormous; see Experiment::trace_point). When
   /// enabled, the point's Report carries the bottleneck table and, if
   /// `trace.export_path` is set, the Perfetto trace.json is written there.
+  /// A campaign traces its golden run.
   trace::TraceConfig trace{};
-  /// Fault campaign: > 0 reruns the point N times with fault seeds
-  /// base+0..base+N-1, classifies each run against a fault-free golden run
-  /// (masked / corrected / detected / sdc) and returns one Report whose
-  /// timing numbers are the golden run's and whose `reliability` section
-  /// carries the campaign. Requires `functional` (output comparison),
-  /// single-core, and `config.faults.enabled`.
-  unsigned campaign_runs = 0;
-  /// Serving scenario: when `serve.enabled`, the point runs serve::Server
-  /// (open-loop traffic + scheduler) instead of one inference, and the
-  /// Report's `server` section carries the traffic statistics. `model` is
-  /// then the default request class when `serve.classes` is empty.
-  serve::ServeSpec serve{};
-  /// LLM decode workload: when set, the point runs llm::run_decode (the
-  /// KV-cache-resident WorkStream) instead of lowering `model` through the
-  /// graph IR; `model` is the decode proxy model (labels / CPU baseline).
-  std::optional<llm::DecodeConfig> llm{};
   /// Telemetry for this point: the metric registry (and, when
   /// `sample_interval_cycles > 0`, the cycle-windowed sampler) rides every
   /// run path — Session, serve::Server, llm decode — and lands in the
@@ -85,12 +102,12 @@ struct SweepPoint {
   /// for a whole grid (merge with sim::merge_metrics afterwards).
   metrics::MetricsConfig metrics{};
   /// Energy metering for this point (src/energy/): when active, the
-  /// Session run paths (single inference, multicore, llm decode) carry the
-  /// command-level DRAM/SRAM/MAC energy meter and the point's
-  /// Report::energy section is filled. Observational only — golden cycles
-  /// are bit-identical with the meter attached. The serve and
-  /// fault-campaign paths ignore this field (their reports aggregate many
-  /// runs; energy accounting there is out of scope).
+  /// Session run paths (inference, multicore, llm decode and a campaign's
+  /// golden run) carry the command-level DRAM/SRAM/MAC energy meter and the
+  /// point's Report::energy section is filled. Observational only — golden
+  /// cycles are bit-identical with the meter attached. A serve point
+  /// rejects an active meter (its report aggregates many runs; energy
+  /// accounting there is out of scope).
   energy::EnergyConfig energy{};
 };
 
@@ -108,7 +125,7 @@ struct SweepOptions {
 class Sweep {
  public:
   Sweep& add(SweepPoint point);
-  /// Convenience: timing-mode single-core point.
+  /// Convenience: timing-mode single-core Inference point.
   Sweep& add(std::string name, SocConfig config, Model model);
 
   std::size_t size() const { return points_.size(); }
@@ -239,15 +256,16 @@ class Experiment {
   /// config's `name`, falling back to "f<i>". A disabled entry (e.g. a
   /// fault-free baseline column) is carried through as-is.
   Experiment& fault_configs(std::vector<fault::FaultConfig> fcs);
-  /// Runs every fault-enabled point as an N-run seeded campaign (see
-  /// SweepPoint::campaign_runs). Implies nothing for fault-free points.
+  /// Runs every fault-enabled point as an N-run seeded Campaign instead of
+  /// an Inference. Implies nothing for fault-free points.
   /// Requires functional() and single-core points.
   Experiment& fault_campaign(unsigned runs);
   /// Serving scenario (src/serve/): every point runs serve::Server with
   /// this spec instead of a single inference. When `spec.classes` is
   /// empty, each point serves its own model as a single request class
   /// (deadline = spec.default_deadline_cycles). Composes with every config
-  /// axis; mutually exclusive with fault_campaign().
+  /// axis; mutually exclusive with fault_campaign() and multicore() (the
+  /// server schedules requests across the cores itself).
   Experiment& serve(serve::ServeSpec spec);
   /// LLM decode workload (src/llm/): every point runs the autoregressive
   /// decode WorkStream built from this base config instead of a graph-IR
@@ -324,7 +342,7 @@ class Experiment {
       placement_policies_;
   std::vector<std::shared_ptr<const lowering::TilingPolicy>> tiling_policies_;
   std::vector<fault::FaultConfig> fault_configs_;
-  serve::ServeSpec serve_spec_{};
+  std::optional<serve::ServeSpec> serve_spec_;
   std::vector<double> offered_loads_;
   std::vector<serve::ServeConfig> serve_policies_;
   std::optional<llm::DecodeConfig> llm_base_;

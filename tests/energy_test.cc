@@ -467,13 +467,14 @@ TEST(EnergyRegression, DramRowHitRateZeroAccessesSerializesAsZero) {
 TEST(EnergyRegression, GoodputZeroRequestRunReportsZero) {
   // A serving window that admits no requests (rate so low the horizon
   // closes first) has makespan 0; goodput must report 0, not NaN/inf.
-  sim::SweepPoint p{"empty-serve", SocConfig{}, zoo::squeezenet_v11(48)};
-  p.serve.enabled = true;
-  p.serve.classes.push_back(serve::RequestClass{"sq", p.model, 1.0, 0});
-  p.serve.arrivals.kind = serve::ArrivalKind::kFixed;
-  p.serve.arrivals.requests_per_mcycle = 0.001;
-  p.serve.arrivals.horizon_cycles = 1000;
-  const sim::Report rep = sim::Sweep::run_point(p);
+  serve::ServeSpec spec;
+  spec.classes.push_back(
+      serve::RequestClass{"sq", zoo::squeezenet_v11(48), 1.0, 0});
+  spec.arrivals.kind = serve::ArrivalKind::kFixed;
+  spec.arrivals.requests_per_mcycle = 0.001;
+  spec.arrivals.horizon_cycles = 1000;
+  const sim::Report rep = sim::Sweep::run_point(
+      sim::SweepPoint{"empty-serve", SocConfig{}, sim::Serve{spec}});
   EXPECT_EQ(rep.server.offered, 0u);
   EXPECT_EQ(rep.server.makespan, 0u);
   EXPECT_EQ(rep.server.goodput_per_mcycle, 0.0);

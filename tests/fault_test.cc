@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -437,22 +439,41 @@ TEST(FaultCampaign, ByteIdenticalAcrossRepeatsAndThreadCounts) {
 }
 
 TEST(FaultCampaign, RequiresFunctionalSingleCore) {
-  sim::SweepPoint p{"bad",
-                    SocConfig{},
-                    tiny_model(),
-                    /*multicore=*/false,
-                    /*functional=*/false,
-                    /*seed=*/1,
-                    /*placement=*/nullptr,
-                    /*tiling=*/nullptr,
-                    /*trace=*/{},
-                    /*campaign_runs=*/2};
+  // Single-core is structural (a Campaign has no multicore flag); the
+  // functional and faults-enabled requirements are checked at run time.
+  sim::SweepPoint p{"bad", SocConfig{}, sim::Campaign{tiny_model(), 2}};
   p.config.faults = ecc_single_bit();
   EXPECT_THROW(sim::Sweep::run_point(p), ConfigError);
 
   p.functional = true;
   p.config.faults.enabled = false;
   EXPECT_THROW(sim::Sweep::run_point(p), ConfigError);
+}
+
+TEST(FaultCampaign, GoldenRunExportsTraceAndReportsEnergy) {
+  // A traced campaign point traces its golden run; that trace is exported
+  // like any other traced point's, and the golden run carries the meter.
+  trace::TraceConfig tc = trace::TraceConfig::enabled_default();
+  tc.export_path = ::testing::TempDir() + "fault_campaign_golden_trace.json";
+  std::remove(tc.export_path.c_str());
+  const std::vector<sim::Report> reports =
+      sim::Experiment(SocConfig{})
+          .model(tiny_model())
+          .functional()
+          .fault_configs({ecc_single_bit()})
+          .fault_campaign(2)
+          .energy()
+          .trace_point("ecc1b/fault-tiny", tc)
+          .run({.threads = 1});
+  ASSERT_EQ(reports.size(), 1u);
+  const sim::Report& rep = reports[0];
+  EXPECT_EQ(rep.status, "ok") << rep.error;
+  EXPECT_EQ(rep.reliability.campaign_runs, 2u);
+  EXPECT_FALSE(rep.bottlenecks.empty());
+  EXPECT_TRUE(rep.energy.enabled);
+  EXPECT_TRUE(std::ifstream(tc.export_path).good())
+      << "no trace at " << tc.export_path;
+  std::remove(tc.export_path.c_str());
 }
 
 // ---- Trace integration ------------------------------------------------------

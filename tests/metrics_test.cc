@@ -360,7 +360,6 @@ Model tiny_serve_model() {
 
 serve::ServeSpec tiny_serve_spec() {
   serve::ServeSpec spec;
-  spec.enabled = true;
   spec.arrivals.requests_per_mcycle = 4.0;
   spec.arrivals.horizon_cycles = 2'000'000;
   spec.arrivals.seed = 9;

@@ -44,7 +44,6 @@ Cycle session_cycles(const SocConfig& cfg, const Model& m) {
 
 serve::ServeSpec one_class_spec(const Model& m, Cycle deadline = 0) {
   serve::ServeSpec spec;
-  spec.enabled = true;
   spec.classes.push_back(serve::RequestClass{m.name(), m, 1.0, deadline});
   return spec;
 }
@@ -396,7 +395,6 @@ TEST(Server, EdfBeatsFifoOnDeadlineMissesUnderOverload) {
 
   auto run_policy = [&](serve::ServePolicy policy) {
     serve::ServeSpec spec;
-    spec.enabled = true;
     spec.classes = classes;
     spec.arrivals = acfg;
     spec.scheduler.policy = policy;
@@ -502,7 +500,6 @@ struct TwoClassScenario {
 
   TwoClassScenario() {
     cfg.cores = 4;
-    spec.enabled = true;
     spec.classes = {{"tiny", tiny_model("tiny"), 3.0, 0},
                     {"wide", wide_model(), 1.0, 0}};
     spec.arrivals.requests_per_mcycle = 40.0;
@@ -530,9 +527,7 @@ TEST(ServerCalibration, TwoClassFourCoreByteIdenticalInAndOutOfSweeps) {
   // calibration inline); the 1-thread sweep calibrates on the pool.
   sim::Sweep sweep;
   for (const char* name : {"a", "b"}) {
-    sim::SweepPoint p{name, sc.cfg, sc.spec.classes[0].model};
-    p.serve = sc.spec;
-    sweep.add(std::move(p));
+    sweep.add({name, sc.cfg, sim::Serve{sc.spec}});
   }
   const std::vector<sim::Report> r1 = sweep.run({.threads = 1});
   const std::vector<sim::Report> r4 = sweep.run({.threads = 4});
@@ -590,7 +585,6 @@ TEST(ServerCalibration, FirstFailingClassInClassOrderIsRaised) {
 
 TEST(ServeSweep, ByteIdenticalAcross1_2_4WorkerThreads) {
   serve::ServeSpec spec;
-  spec.enabled = true;
   spec.arrivals.horizon_cycles = 4'000'000;
   spec.arrivals.seed = 11;
   spec.default_deadline_cycles = 400'000;
@@ -626,6 +620,26 @@ TEST(ServeSweep, AxesRequireServe) {
                    .offered_loads({1.0})
                    .sweep(),
                ConfigError);
+}
+
+TEST(ServeSweep, MulticoreTraceAndEnergyAreRefused) {
+  // A Server schedules requests across the cores itself, and has no single
+  // Session to trace or meter: these settings fail instead of being dropped.
+  auto exp = [] {
+    serve::ServeSpec spec;
+    spec.arrivals.horizon_cycles = 1'000'000;
+    return sim::Experiment(SocConfig{}).model(tiny_model()).serve(spec);
+  };
+  EXPECT_THROW(exp().multicore().sweep(), ConfigError);
+  for (const sim::Report& rep :
+       {exp().trace_point("serve-tiny").run().at(0),
+        exp().energy().run().at(0)}) {
+    EXPECT_EQ(rep.status, "error");
+    EXPECT_EQ(rep.point, "serve-tiny");
+    EXPECT_NE(rep.error.find("'serve-tiny'"), std::string::npos) << rep.error;
+    EXPECT_NE(rep.error.find("ServeSpec::trace_missed"), std::string::npos)
+        << rep.error;
+  }
 }
 
 // ---- DRAM queue-depth reuse -------------------------------------------------

@@ -349,6 +349,74 @@ TEST(SimSweep, InvalidPointFailsDeterministically) {
   }
 }
 
+TEST(SimSweep, RunPointMatchesDirectRunPathForEveryWorkload) {
+  // Every workload kind, run through Sweep::run_point, reports exactly what
+  // its direct API reports once `point` is stamped: the dispatch adds the
+  // label and nothing else, and drops none of the point's observers.
+  const Model m = zoo::squeezenet_v11(32);
+  const metrics::MetricsConfig mc = metrics::MetricsConfig::enabled_default();
+  const energy::EnergyConfig ec = energy::EnergyConfig::enabled_default();
+  auto session = [&](const SocConfig& cfg, bool functional = false) {
+    return sim::Session::builder(cfg)
+        .functional(functional)
+        .metrics(mc)
+        .energy(ec)
+        .build();
+  };
+  auto run_point = [&](sim::SweepPoint p) {
+    p.metrics = mc;
+    if (!std::holds_alternative<sim::Serve>(p.workload)) p.energy = ec;
+    const sim::Report rep = sim::Sweep::run_point(p);
+    EXPECT_EQ(rep.status, "ok") << p.name << ": " << rep.error;
+    EXPECT_EQ(rep.point, p.name);
+    return rep;
+  };
+  auto stamped = [](sim::Report rep, const std::string& point) {
+    rep.point = point;
+    return rep.to_json();
+  };
+  SocConfig one;
+  SocConfig two;
+  two.cores = 2;
+
+  EXPECT_EQ(run_point({"inf", one, sim::Inference{m}}).to_json(),
+            stamped(session(one).run(m), "inf"));
+  EXPECT_EQ(run_point({"mc", two, sim::Inference{m, true}}).to_json(),
+            stamped(session(two).run_multicore(m), "mc"));
+
+  llm::DecodeConfig dc;
+  dc.hidden = 128;
+  dc.decode_steps = 2;
+  sim::Session decode = session(one);
+  EXPECT_EQ(run_point({"dec", one, sim::Decode{dc}}).to_json(),
+            stamped(llm::run_decode(decode, dc), "dec"));
+
+  serve::ServeSpec spec;
+  spec.classes = {{"sq", m, 1.0, 0}};
+  spec.arrivals.horizon_cycles = 2'000'000;
+  serve::ServerOptions opts;
+  opts.metrics = mc;
+  EXPECT_EQ(run_point({"srv", two, sim::Serve{spec}}).to_json(),
+            stamped(serve::Server(two, spec, opts).run(), "srv"));
+
+  // A campaign reports its fault-free golden run plus the reliability
+  // section the classified reruns fill.
+  SocConfig faulty;
+  faulty.faults.enabled = true;
+  faulty.faults.seed = 5;
+  faulty.faults.dram_read_flip_rate = 0.05;
+  faulty.faults.ecc.enabled = true;
+  SocConfig golden = faulty;
+  golden.faults.enabled = false;
+  const sim::Report direct = session(golden, /*functional=*/true).run(m);
+  sim::Report campaign = run_point(
+      {"camp", faulty, sim::Campaign{m, 2}, /*functional=*/true});
+  EXPECT_EQ(campaign.reliability.campaign_runs, 2u);
+  EXPECT_EQ(campaign.reliability.golden_cycles, direct.cycles);
+  campaign.reliability = direct.reliability;
+  EXPECT_EQ(campaign.to_json(), stamped(direct, "camp"));
+}
+
 TEST(SimExperiment, GridExpansionNamesAxes) {
   sim::Experiment exp;
   exp.core_counts({1, 2})
