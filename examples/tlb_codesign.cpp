@@ -1,7 +1,9 @@
 // Virtual-address-translation co-design (paper §V-A, Fig. 8): sweep private
-// and shared TLB sizes for a low-power edge SoC running ResNet-50, with and
-// without the filter-register optimization, and find the cheapest
-// translation system within 2% of peak performance.
+// and shared TLB sizes for the Fig. 9 Base SoC (`SocConfig::base_1mb_l2()`,
+// im2col unit on) running ResNet-50, with and without the filter-register
+// optimization, and find the cheapest translation system within 2% of peak
+// performance. The paper ran this study on its low-power edge SoC;
+// tests/paper_test.cc grades the paper's Fig. 8 claims.
 //
 // The 2 x 2 x 2 = 8-point grid runs as one `sim::Sweep` across 4 worker
 // threads — each point on its own SoC — and the per-point TLB hit rates
