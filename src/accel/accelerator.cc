@@ -2,19 +2,21 @@
 
 #include <algorithm>
 
+#include "src/trace/trace.h"
+
 namespace gemmini {
 
 Accelerator::Accelerator(const GemminiConfig& cfg, MemorySystem& mem,
                          PageTableWalker& ptw, RequestorId requestor,
-                         trace::Tracer* tracer, fault::Injector* injector)
+                         Observers obs)
     : cfg_(cfg),
       mem_(mem),
-      tracer_(tracer),
-      sp_(cfg_, injector),
-      acc_(cfg_, injector),
-      translation_(cfg_.translation, ptw, tracer, injector),
-      dma_(cfg_, mem_, translation_, sp_, acc_, requestor, tracer, injector),
-      exec_(cfg_, sp_, acc_, injector),
+      tracer_(obs.trace),
+      sp_(cfg_, obs),
+      acc_(cfg_, obs),
+      translation_(cfg_.translation, ptw, obs),
+      dma_(cfg_, mem_, translation_, sp_, acc_, requestor, obs),
+      exec_(cfg_, sp_, acc_, obs),
       hazards_(cfg_.sp_rows(), cfg_.acc_rows()),
       rob_(cfg_.rob_entries, 0) {
   cfg_.validate();

@@ -51,13 +51,15 @@ struct AccelReport {
 class Accelerator {
  public:
   /// `ptw` is shared SoC-wide (single walker, as in the paper's edge SoC).
-  /// `tracer` (may be null) receives instruction-level spans (MVIN/MVOUT,
-  /// preloads, compute tiles) plus everything the owned DMA/translation
-  /// subsystems emit.
+  /// `obs` reaches every owned unit (SRAMs, translation, DMA, exec);
+  /// `obs.trace` also receives instruction-level spans (MVIN/MVOUT,
+  /// preloads, compute tiles).
   Accelerator(const GemminiConfig& cfg, MemorySystem& mem,
-              PageTableWalker& ptw, RequestorId requestor,
-              trace::Tracer* tracer = nullptr,
-              fault::Injector* injector = nullptr);
+              PageTableWalker& ptw, RequestorId requestor, Observers obs = {});
+
+  // The owned DMA and exec units hold references to sibling members.
+  Accelerator(const Accelerator&) = delete;
+  Accelerator& operator=(const Accelerator&) = delete;
 
   /// Functional mode moves real data through PhysMem; timing mode moves only
   /// time (used for full-DNN benchmark sweeps).

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/fault/fault.h"
+
 namespace gemmini {
 
 void Accumulator::write_row_i32(std::uint64_t row, const std::int32_t* src,

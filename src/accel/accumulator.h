@@ -11,9 +11,9 @@
 
 #include "src/arch/config.h"
 #include "src/base/fixed.h"
+#include "src/base/observers.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
-#include "src/fault/fault.h"
 
 namespace gemmini {
 
@@ -24,8 +24,7 @@ class Accumulator {
     std::uint64_t rows = 0;  ///< rows touched by reservations (SRAM energy)
   };
 
-  explicit Accumulator(const GemminiConfig& cfg,
-                       fault::Injector* injector = nullptr)
+  explicit Accumulator(const GemminiConfig& cfg, Observers obs = {})
       : dtype_(cfg.dtype),
         dim_(cfg.dim()),
         rows_(cfg.acc_rows()),
@@ -33,7 +32,7 @@ class Accumulator {
         i32_(dtype_ == DType::kInt8 ? rows_ * dim_ : 0, 0),
         f32_(dtype_ == DType::kFp32 ? rows_ * dim_ : 0, 0.0f),
         bank_busy_(cfg.acc_banks, 0),
-        injector_(injector) {}
+        injector_(obs.faults) {}
 
   std::uint64_t rows() const { return rows_; }
   unsigned dim() const { return dim_; }

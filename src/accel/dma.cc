@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "src/base/fixed.h"
+#include "src/fault/fault.h"
+#include "src/trace/trace.h"
 
 namespace gemmini {
 
@@ -42,12 +44,12 @@ DmaEngine::StreamResult DmaEngine::stream(const AddressSpace& as, VAddr va,
     // plus an exponential backoff, then re-arbitrates the bus for real (the
     // re-issued access mutates bus/bank state again, charging real cycles).
     // Exhausting the retry budget aborts the run — a *detected* outcome.
-    if (injector_) {
+    if (obs_.faults) {
       unsigned attempt = 0;
-      while (injector_->draw_dma_timeout()) {
-        const auto& fc = injector_->config();
+      while (obs_.faults->draw_dma_timeout()) {
+        const auto& fc = obs_.faults->config();
         if (attempt >= fc.dma_max_retries) {
-          injector_->note_dma_abort();
+          obs_.faults->note_dma_abort();
           std::ostringstream oss;
           oss << "dma: " << (write ? "write" : "read") << " of " << chunk
               << " bytes at VA 0x" << std::hex << cur << std::dec
@@ -57,7 +59,7 @@ DmaEngine::StreamResult DmaEngine::stream(const AddressSpace& as, VAddr va,
         }
         const Cycle lost_at = std::max(done, req_t + fc.dma_timeout_cycles);
         const Cycle retry_at = lost_at + (fc.dma_retry_backoff << attempt);
-        injector_->note_dma_retry(write, attempt, req_t, retry_at);
+        obs_.faults->note_dma_retry(write, attempt, req_t, retry_at);
         req_t = retry_at;
         done = mem_.access(tr.paddr, chunk, write, req_t, requestor_);
         ++attempt;
@@ -71,10 +73,10 @@ DmaEngine::StreamResult DmaEngine::stream(const AddressSpace& as, VAddr va,
     cur += chunk;
     remaining -= chunk;
   }
-  if (tracer_) {
-    tracer_->span(write ? trace::EventKind::kDmaBurstWrite
-                        : trace::EventKind::kDmaBurstRead,
-                  issue, r.done, bytes, requestor_.value);
+  if (obs_.trace) {
+    obs_.trace->span(write ? trace::EventKind::kDmaBurstWrite
+                           : trace::EventKind::kDmaBurstRead,
+                     issue, r.done, bytes, requestor_.value);
   }
   (write ? stats_.store_bytes : stats_.load_bytes) += bytes;
   return r;

@@ -15,10 +15,10 @@
 #include "src/accel/accumulator.h"
 #include "src/accel/scratchpad.h"
 #include "src/arch/config.h"
+#include "src/base/observers.h"
 #include "src/base/types.h"
 #include "src/isa/isa.h"
 #include "src/mem/memsys.h"
-#include "src/trace/trace.h"
 #include "src/vm/translation.h"
 
 namespace gemmini {
@@ -33,16 +33,14 @@ class DmaEngine {
 
   DmaEngine(const GemminiConfig& cfg, MemorySystem& mem,
             TranslationSystem& translation, Scratchpad& sp, Accumulator& acc,
-            RequestorId requestor, trace::Tracer* tracer = nullptr,
-            fault::Injector* injector = nullptr)
+            RequestorId requestor, Observers obs = {})
       : cfg_(cfg),
         mem_(mem),
         translation_(translation),
         sp_(sp),
         acc_(acc),
         requestor_(requestor),
-        tracer_(tracer),
-        injector_(injector) {}
+        obs_(obs) {}
 
   /// Timing result of a data-movement instruction: `issue_done` is when the
   /// DMA front-end finishes injecting requests (the next MVIN/MVOUT can
@@ -98,8 +96,7 @@ class DmaEngine {
   Scratchpad& sp_;
   Accumulator& acc_;
   RequestorId requestor_;
-  trace::Tracer* tracer_;
-  fault::Injector* injector_;
+  Observers obs_;
   // Reads and writes have independent in-flight windows, mirroring the
   // RTL's separate load/store reservation stations: a backlog of store
   // completions must not stall load issue.

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/base/fixed.h"
+#include "src/fault/fault.h"
 
 namespace gemmini {
 

@@ -13,6 +13,7 @@
 #include "src/accel/scratchpad.h"
 #include "src/arch/config.h"
 #include "src/arch/spatial_array.h"
+#include "src/base/observers.h"
 #include "src/isa/isa.h"
 
 namespace gemmini {
@@ -28,8 +29,8 @@ struct ExConfigState {
 class ExecUnit {
  public:
   ExecUnit(const GemminiConfig& cfg, Scratchpad& sp, Accumulator& acc,
-           fault::Injector* injector = nullptr)
-      : cfg_(cfg), model_(cfg_), sp_(sp), acc_(acc), injector_(injector),
+           Observers obs = {})
+      : cfg_(cfg), model_(cfg_), sp_(sp), acc_(acc), injector_(obs.faults),
         b_t_i8_(static_cast<std::size_t>(cfg.dim()) * cfg.dim(), 0),
         b_t_f32_(static_cast<std::size_t>(cfg.dim()) * cfg.dim(), 0.0f),
         a_row_i8_(cfg.dim(), 0),

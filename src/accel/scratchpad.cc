@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/fault/fault.h"
+
 namespace gemmini {
 
 Cycle Scratchpad::reserve(std::uint64_t row, std::uint64_t nrows, Cycle t,

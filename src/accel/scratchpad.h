@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "src/arch/config.h"
+#include "src/base/observers.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
-#include "src/fault/fault.h"
 
 namespace gemmini {
 
@@ -24,14 +24,13 @@ class Scratchpad {
     std::uint64_t bank_conflict_cycles = 0;
   };
 
-  explicit Scratchpad(const GemminiConfig& cfg,
-                      fault::Injector* injector = nullptr)
+  explicit Scratchpad(const GemminiConfig& cfg, Observers obs = {})
       : row_bytes_(cfg.sp_row_bytes()),
         rows_(cfg.sp_rows()),
         bank_rows_(cfg.sp_bank_rows()),
         data_(rows_ * row_bytes_, 0),
         bank_busy_(cfg.sp_banks, 0),
-        injector_(injector) {}
+        injector_(obs.faults) {}
 
   std::uint64_t rows() const { return rows_; }
   std::uint64_t row_bytes() const { return row_bytes_; }

@@ -1,10 +1,11 @@
 #pragma once
 // Deterministic fault-injection and resilience layer.
 //
-// A seeded FaultConfig drives one fault::Injector per Soc. The injector is
-// threaded through the timed components exactly like trace::Tracer*: every
-// site holds a possibly-null pointer, so the zero-fault default pays one
-// predictable branch and stays bit-identical to the golden cycle counts.
+// A seeded FaultConfig drives one fault::Injector per Soc. The injector
+// reaches the timed components as the `faults` member of the Soc's
+// Observers (src/base/observers.h), next to the tracer: every site holds a
+// possibly-null pointer, so the zero-fault default pays one predictable
+// branch and stays bit-identical to the golden cycle counts.
 //
 // Injection sites (all seeded, all deterministic):
 //   * DRAM read bit-flips at Dram::issue — with an optional SECDED ECC model.

@@ -9,15 +9,16 @@
 //
 // Accounting is kept per requestor (who moved how many bytes, who ate how
 // many wait cycles) — the raw material for the sim::Report substrate table
-// and the "sysbus"/"membus" metrics the Soc publishes. When a trace::Tracer
-// is attached, every grant (and any wait preceding it) is emitted as a span
-// on this bus's track; tracing is observational and never alters
+// and the "sysbus"/"membus" metrics the Soc publishes. When the Observers
+// carry a trace::Tracer, every grant (and any wait preceding it) is emitted
+// as a span on this bus's track; tracing is observational and never alters
 // busy_until_ bookkeeping.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/base/observers.h"
 #include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
@@ -61,10 +62,10 @@ class Bus {
     }
   };
 
+  /// `unit` names the track this bus's spans render on.
   explicit Bus(const BusConfig& cfg, std::string name = "bus",
-               trace::Tracer* tracer = nullptr,
-               trace::Unit unit = trace::Unit::kSystemBus)
-      : cfg_(cfg), name_(std::move(name)), tracer_(tracer), unit_(unit) {
+               trace::Unit unit = trace::Unit::kSystemBus, Observers obs = {})
+      : cfg_(cfg), name_(std::move(name)), tracer_(obs.trace), unit_(unit) {
     cfg_.validate();
   }
 

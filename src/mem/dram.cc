@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "src/fault/fault.h"
+#include "src/trace/trace.h"
+
 namespace gemmini {
 
 const char* dram_scheduler_name(DramScheduler s) {
@@ -21,9 +24,7 @@ const char* dram_interleave_name(DramInterleave i) {
   return "?";
 }
 
-Dram::Dram(const DramConfig& cfg, trace::Tracer* tracer,
-           fault::Injector* injector)
-    : cfg_(cfg), tracer_(tracer), injector_(injector) {
+Dram::Dram(const DramConfig& cfg, Observers obs) : cfg_(cfg), obs_(obs) {
   cfg_.validate();
   channels_.resize(cfg_.channels);
   for (Channel& ch : channels_) ch.banks.assign(cfg_.banks, Bank{});
@@ -119,9 +120,9 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
       rq.arrival > bank.busy_until ? rq.arrival : bank.busy_until;
   if (bank_ready > rq.arrival) {
     cs.queue_wait_cycles += bank_ready - rq.arrival;
-    if (tracer_) {
-      tracer_->span(trace::EventKind::kDramQueueWait, rq.arrival, bank_ready,
-                    rq.bytes, rq.requestor, global_bank);
+    if (obs_.trace) {
+      obs_.trace->span(trace::EventKind::kDramQueueWait, rq.arrival,
+                       bank_ready, rq.bytes, rq.requestor, global_bank);
     }
   }
   Cycle start = bank_ready;
@@ -136,9 +137,9 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
         cfg_.refresh_latency;
     if (start < window_end) {
       cs.refresh_stall_cycles += window_end - start;
-      if (tracer_) {
-        tracer_->span(trace::EventKind::kDramRefresh, start, window_end,
-                      rq.bytes, rq.requestor, global_bank);
+      if (obs_.trace) {
+        obs_.trace->span(trace::EventKind::kDramRefresh, start, window_end,
+                         rq.bytes, rq.requestor, global_bank);
       }
       start = window_end;
     }
@@ -180,18 +181,18 @@ Cycle Dram::issue(unsigned ci, const Request& rq) {
   bank.open_valid = true;
   bank.open_row = rq.row;
   ch.busy_until = done;
-  if (tracer_) {
-    tracer_->span(row_hit ? trace::EventKind::kDramRowHit
-                          : trace::EventKind::kDramRowMiss,
-                  start, done, rq.bytes, rq.requestor, global_bank);
+  if (obs_.trace) {
+    obs_.trace->span(row_hit ? trace::EventKind::kDramRowHit
+                             : trace::EventKind::kDramRowMiss,
+                     start, done, rq.bytes, rq.requestor, global_bank);
   }
   // Fault layer: reads on the data path may flip bits; corrected words
   // extend only this request's completion (the correction pipeline sits
   // behind the row buffer, so the bank/bus stay on schedule). Page-table
   // walks are exempt — see src/fault/fault.h.
-  if (injector_ && !rq.is_write && rq.requestor != kPtwRequestor) {
-    return done + injector_->on_dram_read(rq.addr, rq.bytes, done,
-                                          rq.requestor);
+  if (obs_.faults && !rq.is_write && rq.requestor != kPtwRequestor) {
+    return done + obs_.faults->on_dram_read(rq.addr, rq.bytes, done,
+                                            rq.requestor);
   }
   return done;
 }
@@ -245,9 +246,9 @@ void Dram::write(PAddr addr, std::uint64_t bytes, Cycle t,
       drained_bytes += cur.bytes;
       last_done = std::max(last_done, issue(ci, cur));
     }
-    if (tracer_) {
-      tracer_->span(trace::EventKind::kDramWriteDrain, t, last_done,
-                    drained_bytes, requestor.value, ci);
+    if (obs_.trace) {
+      obs_.trace->span(trace::EventKind::kDramWriteDrain, t, last_done,
+                       drained_bytes, requestor.value, ci);
     }
   }
 }

@@ -33,11 +33,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/observers.h"
 #include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
-#include "src/fault/fault.h"
-#include "src/trace/trace.h"
 
 namespace gemmini {
 
@@ -156,10 +155,9 @@ class Dram {
     ChannelStats totals() const;
   };
 
-  /// `injector` (may be null) receives read completions on the data path so
-  /// the fault layer can flip bits and charge ECC correction latency.
-  explicit Dram(const DramConfig& cfg, trace::Tracer* tracer = nullptr,
-                fault::Injector* injector = nullptr);
+  /// `obs.faults` (may be null) receives read completions on the data path
+  /// so the fault layer can flip bits and charge ECC correction latency.
+  explicit Dram(const DramConfig& cfg, Observers obs = {});
 
   /// Which channel services `addr`, under the configured interleave policy.
   unsigned channel_of(PAddr addr) const;
@@ -250,8 +248,7 @@ class Dram {
   RequestorStats& requestor_stats(int id);
 
   DramConfig cfg_;
-  trace::Tracer* tracer_;
-  fault::Injector* injector_;
+  Observers obs_;
   std::vector<Channel> channels_;
   std::uint64_t next_seq_ = 0;
   Stats stats_;

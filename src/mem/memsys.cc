@@ -4,14 +4,13 @@
 
 namespace gemmini {
 
-MemorySystem::MemorySystem(const MemSysConfig& cfg, trace::Tracer* tracer,
-                           fault::Injector* injector)
+MemorySystem::MemorySystem(const MemSysConfig& cfg, Observers obs)
     : cfg_(cfg),
-      tracer_(tracer),
-      sysbus_(cfg.system_bus, "sysbus", tracer, trace::Unit::kSystemBus),
+      tracer_(obs.trace),
+      sysbus_(cfg.system_bus, "sysbus", trace::Unit::kSystemBus, obs),
       l2_(std::make_unique<Cache>(cfg.l2, "l2")),
-      membus_(cfg.memory_bus, "membus", tracer, trace::Unit::kMemoryBus),
-      dram_(cfg.dram, tracer, injector) {
+      membus_(cfg.memory_bus, "membus", trace::Unit::kMemoryBus, obs),
+      dram_(cfg.dram, obs) {
   cfg_.validate();
 }
 

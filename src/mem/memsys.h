@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "src/base/observers.h"
 #include "src/base/types.h"
 #include "src/mem/bus.h"
 #include "src/mem/cache.h"
@@ -43,14 +44,15 @@ struct MemSysConfig {
 
 class MemorySystem {
  public:
-  /// `tracer` (may be null) is shared with both buses and the DRAM model;
-  /// the memory system itself emits the L2 hit/miss events. `injector` (may
-  /// be null) reaches the DRAM read path for fault injection. The memory
-  /// system counts nothing itself: its buses, L2 and DRAM each keep their
-  /// own typed stats.
-  explicit MemorySystem(const MemSysConfig& cfg,
-                        trace::Tracer* tracer = nullptr,
-                        fault::Injector* injector = nullptr);
+  /// `obs` is shared with both buses and the DRAM model (the injector
+  /// reaches the DRAM read path); the memory system itself emits the L2
+  /// hit/miss events. It counts nothing itself: its buses, L2 and DRAM each
+  /// keep their own typed stats.
+  explicit MemorySystem(const MemSysConfig& cfg, Observers obs = {});
+
+  // The SoC's translation and DMA units hold references into this object.
+  MemorySystem(const MemorySystem&) = delete;
+  MemorySystem& operator=(const MemorySystem&) = delete;
 
   /// Timing access: `bytes` at physical address `addr`, issued at cycle `t`.
   /// Returns the completion cycle. Splits across cache lines; state (cache

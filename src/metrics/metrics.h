@@ -6,7 +6,9 @@
 // metrics; only the Soc holds a (possibly null) `metrics::Metrics*`. Just
 // before each sampler snapshot and at the end of a run the Soc writes the
 // published names ("dram.ch<N>.*", "sysbus.*", "l2.*", "core<N>.tlb.*", the
-// queue-depth gauges, ...) from those structs into the registry. A null
+// queue-depth gauges, ...) from those structs into the registry. The
+// serving layer does the same with its own collector: serve::Server
+// publishes "serve.*" from its ServerStats. A null
 // pointer means "metrics off" and costs the run nothing — golden cycle
 // counts are bit-identical either way, because metrics (like tracing) are
 // observational: they never feed back into timing decisions.
@@ -33,7 +35,7 @@
 // therefore every exported timeline, JSON section and OpenMetrics document)
 // is name-ordered and independent of registration order. Registry::reset()
 // zeroes values *in place*, so entries published in one run stay listed (at
-// zero) in the next, and handles held by the serving layer stay valid.
+// zero) in the next.
 
 #include <bit>
 #include <cstdint>
@@ -146,8 +148,8 @@ class Registry {
     return histograms_;
   }
 
-  /// Zeroes every instrument *in place* — entries (and the pointers
-  /// components cached) survive, so one Session can run many times.
+  /// Zeroes every instrument *in place* — entries survive, so one Session
+  /// can run many times.
   void reset() {
     for (auto& [name, c] : counters_) c.reset();
     for (auto& [name, g] : gauges_) g.reset();

@@ -34,7 +34,6 @@ ServeScheduler::ServeScheduler(ServeConfig cfg) : cfg_(cfg) {
 bool ServeScheduler::admit(const Request& r, Cycle now) {
   if (cfg_.admission_capacity > 0 &&
       queue_.size() >= cfg_.admission_capacity) {
-    ++shed_;
     return false;
   }
   queue_.push_back(Pending{r, 0});

@@ -3,9 +3,9 @@
 //
 // The scheduler owns the single admission queue in front of the SoC's
 // per-core run slots. Arrivals are admitted while the queue has room and
-// shed (rejected, counted) once it is full — the open-loop generator never
-// slows down, so a saturated SoC must shed instead of growing an unbounded
-// backlog. Dispatch order is a policy:
+// shed (rejected; the Server counts them) once it is full — the open-loop
+// generator never slows down, so a saturated SoC must shed instead of
+// growing an unbounded backlog. Dispatch order is a policy:
 //
 //   * kFifo  — strict arrival order;
 //   * kEdf   — earliest absolute deadline first (no-deadline requests sort
@@ -80,7 +80,6 @@ class ServeScheduler {
 
   bool empty() const { return queue_.empty(); }
   std::size_t depth() const { return queue_.size(); }
-  std::uint64_t shed_count() const { return shed_; }
 
   /// Earliest absolute deadline currently queued (kCycleMax if none).
   Cycle earliest_deadline() const;
@@ -95,7 +94,6 @@ class ServeScheduler {
 
   ServeConfig cfg_;
   std::deque<Pending> queue_;  ///< arrival order (FIFO order for ties)
-  std::uint64_t shed_ = 0;
   TimeWeighted depth_stat_;
 };
 

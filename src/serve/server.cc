@@ -115,41 +115,12 @@ sim::Report Server::run() {
   st.enabled = true;
   st.policy = spec_.scheduler.label();
   st.arrival = arrival_kind_name(spec_.arrivals.kind);
-  st.offered = requests.size();
   st.per_class.resize(nclasses);
   for (std::size_t i = 0; i < nclasses; ++i) {
     st.per_class[i].name = spec_.classes[i].name;
   }
 
   ServeScheduler sched(spec_.scheduler);
-
-  // Serving-layer telemetry: its own collector (the calibration/per-request
-  // Sessions inside are throwaway probes — metering them would double-count
-  // traffic), driven on the event-loop clock, which is non-decreasing.
-  std::unique_ptr<metrics::Metrics> met;
-  metrics::Gauge* g_queue = nullptr;
-  metrics::Gauge* g_inflight = nullptr;
-  metrics::Counter* c_offered = nullptr;
-  metrics::Counter* c_admitted = nullptr;
-  metrics::Counter* c_shed = nullptr;
-  metrics::Counter* c_completed = nullptr;
-  metrics::Counter* c_errors = nullptr;
-  metrics::Counter* c_misses = nullptr;
-  metrics::Counter* c_preemptions = nullptr;
-  if (opts_.metrics.enabled) {
-    met = std::make_unique<metrics::Metrics>(opts_.metrics);
-    met->begin_run();
-    metrics::Registry& reg = met->registry();
-    g_queue = &reg.gauge("serve.queue_depth");
-    g_inflight = &reg.gauge("serve.inflight");
-    c_offered = &reg.counter("serve.offered");
-    c_admitted = &reg.counter("serve.admitted");
-    c_shed = &reg.counter("serve.shed");
-    c_completed = &reg.counter("serve.completed");
-    c_errors = &reg.counter("serve.errors");
-    c_misses = &reg.counter("serve.deadline_misses");
-    c_preemptions = &reg.counter("serve.preemptions");
-  }
   // Per-request lifecycle spans, keyed (and later reported) by id.
   std::map<std::uint64_t, sim::RequestSpan> spans;
 
@@ -160,6 +131,33 @@ sim::Report Server::run() {
     std::vector<ServeScheduler::Pending> batch;
   };
   std::vector<CoreState> cores(ncores);
+
+  // Serving-layer telemetry: its own collector (the calibration/per-request
+  // Sessions inside are throwaway probes — metering them would double-count
+  // traffic), driven on the event-loop clock, which is non-decreasing. As
+  // with Soc::publish_metrics, the registry is a view: `publish` writes the
+  // typed stats and the current queue/in-flight levels into it at run
+  // start, before each window the sampler closes, and at the end.
+  std::unique_ptr<metrics::Metrics> met;
+  auto publish = [&] {
+    metrics::Registry& reg = met->registry();
+    reg.counter("serve.offered").set(st.offered);
+    reg.counter("serve.admitted").set(st.admitted);
+    reg.counter("serve.shed").set(st.shed);
+    reg.counter("serve.completed").set(st.completed);
+    reg.counter("serve.errors").set(st.errors);
+    reg.counter("serve.deadline_misses").set(st.deadline_misses);
+    reg.counter("serve.preemptions").set(st.preemptions);
+    std::size_t inflight = 0;
+    for (const CoreState& c : cores) inflight += c.batch.size();
+    reg.gauge("serve.queue_depth").set(static_cast<double>(sched.depth()));
+    reg.gauge("serve.inflight").set(static_cast<double>(inflight));
+  };
+  if (opts_.metrics.enabled) {
+    met = std::make_unique<metrics::Metrics>(opts_.metrics);
+    met->begin_run();
+    publish();
+  }
 
   std::vector<Cycle> samples;  ///< ok-response latencies (exact percentiles)
   std::vector<std::vector<Cycle>> cls_samples(nclasses);
@@ -204,7 +202,6 @@ sim::Report Server::run() {
       if (faulty && errored.count(r.id) != 0) {
         ++st.errors;
         ++cs.errors;
-        if (c_errors != nullptr) c_errors->add();
         sp.ok = false;
         continue;
       }
@@ -222,12 +219,10 @@ sim::Report Server::run() {
       }
       ++st.completed;
       ++cs.completed;
-      if (c_completed != nullptr) c_completed->add();
       if (r.deadline != 0 && t > r.deadline) {
         ++st.deadline_misses;
         ++cs.deadline_misses;
         sp.deadline_miss = true;
-        if (c_misses != nullptr) c_misses->add();
         if (!have_miss) {
           have_miss = true;
           miss_cls = r.cls;
@@ -302,12 +297,6 @@ sim::Report Server::run() {
         spans[p.req.id].dispatch = t;
       }
     }
-    if (g_queue != nullptr) {
-      g_queue->set(static_cast<double>(sched.depth()));
-      std::size_t inflight = 0;
-      for (const CoreState& c : cores) inflight += c.batch.size();
-      g_inflight->set(static_cast<double>(inflight));
-    }
   };
 
   // EDF preemption: a newly admitted request with an earlier deadline
@@ -341,7 +330,6 @@ sim::Report Server::run() {
     c.batch.clear();
     c.busy = false;
     ++st.preemptions;
-    if (c_preemptions != nullptr) c_preemptions->add();
   };
 
   // Discrete-event loop: at each step handle the earliest event;
@@ -359,14 +347,18 @@ sim::Report Server::run() {
     }
     const Cycle ta = ai < requests.size() ? requests[ai].arrival : kCycleMax;
     if (tc == kCycleMax && ta == kCycleMax) break;
-    if (met) met->advance_to(tc <= ta ? tc : ta);
+    const Cycle t = tc <= ta ? tc : ta;
+    if (met && met->sampler().due(t)) {
+      publish();
+      met->advance_to(t);
+    }
     if (tc <= ta) {
       complete_core(ci, tc);
       dispatch_idle(tc);
     } else {
       const Request& r = requests[ai++];
+      ++st.offered;
       ++st.per_class[r.cls].offered;
-      if (c_offered != nullptr) c_offered->add();
       sim::RequestSpan& sp = spans[r.id];
       sp.id = r.id;
       sp.cls = r.cls;
@@ -378,9 +370,8 @@ sim::Report Server::run() {
         sp.ok = false;
         sp.dispatch = ta;
         sp.complete = ta;
-        if (c_shed != nullptr) c_shed->add();
       } else {
-        if (c_admitted != nullptr) c_admitted->add();
+        ++st.admitted;
         if (spec_.scheduler.policy == ServePolicy::kEdf &&
             spec_.scheduler.preempt && r.deadline != 0) {
           maybe_preempt(r, ta);
@@ -392,7 +383,6 @@ sim::Report Server::run() {
   sched.finish(st.makespan);
 
   // ---- Statistics -----------------------------------------------------------
-  st.admitted = st.offered - st.shed;
   std::sort(samples.begin(), samples.end());
   st.p50 = percentile_sorted(samples, 50.0);
   st.p95 = percentile_sorted(samples, 95.0);
@@ -422,12 +412,12 @@ sim::Report Server::run() {
   }
   st.avg_queue_depth = sched.depth_stat().mean();
   st.max_queue_depth = sched.depth_stat().max();
-  st.shed = sched.shed_count();
 
   st.spans.reserve(spans.size());
   for (auto& [id, sp] : spans) st.spans.push_back(std::move(sp));
 
   if (met) {
+    publish();
     met->finish_run(st.makespan);
     rep.metrics = sim::snapshot_metrics(*met);
     if (!opts_.metrics.export_path.empty()) {

@@ -59,9 +59,7 @@ Session::Session(const SocConfig& cfg, bool functional, std::uint64_t seed,
                      : std::make_shared<const lowering::HeuristicTiling>()),
       trace_cfg_(trace_cfg) {
   if (trace_cfg_.enabled) {
-    trace_sink_ =
-        std::make_unique<trace::RingBufferSink>(trace_cfg_.buffer_events);
-    tracer_ = std::make_unique<trace::Tracer>(*trace_sink_);
+    tracer_ = std::make_unique<trace::Tracer>(trace_cfg_.buffer_events);
   }
   if (metrics_cfg.enabled) {
     metrics_ = std::make_unique<metrics::Metrics>(metrics_cfg);
@@ -81,10 +79,10 @@ Session::Session(const SocConfig& cfg, bool functional, std::uint64_t seed,
   soc_->set_functional(functional_);
 }
 
-const trace::RingBufferSink& Session::trace_buffer() const {
+const trace::Tracer& Session::trace_buffer() const {
   GEMMINI_CHECK_MSG(tracing(),
                     "trace_buffer(): session was built without .trace()");
-  return *trace_sink_;
+  return *tracer_;
 }
 
 trace::PerfettoOptions Session::perfetto_options(int indent) const {
@@ -162,9 +160,9 @@ trace::BottleneckReport Session::bottlenecks(unsigned core) const {
                     "bottlenecks(): session was built without .trace()");
   GEMMINI_CHECK_MSG(traced_plan_.has_value(),
                     "bottlenecks(): nothing run in this session yet");
-  return trace::attribute_bottlenecks(trace_sink_->snapshot(), *traced_plan_,
+  return trace::attribute_bottlenecks(tracer_->snapshot(), *traced_plan_,
                                       config().accel, config().mem, core,
-                                      trace_sink_->dropped());
+                                      tracer_->dropped());
 }
 
 Session& Session::with_policy(
@@ -300,7 +298,7 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
   if (tracing()) {
     // Drop accounting is exact and surfaces even when nothing could be
     // attributed (e.g. a fault storm wrapped the ring before a plan ran).
-    rep.trace_dropped_events = trace_sink_->dropped();
+    rep.trace_dropped_events = tracer_->dropped();
     if (traced_plan_.has_value()) {
       trace::BottleneckReport bn = bottlenecks();
       rep.bottlenecks = std::move(bn.layers);
@@ -431,18 +429,12 @@ Plan Session::plan(const Model& model, unsigned core) {
   return p;
 }
 
-Report Session::run(const Model& model) {
+void Session::begin_run() {
   soc_->reset_all();
-  if (trace_sink_) trace_sink_->clear();
-  last_plan_ = build_plan(model, 0);
-  if (tracing()) traced_plan_ = last_plan_;
-  last_lowered_ =
-      lowering::emit_stream(*last_plan_, config().accel, config().cpu);
-  const CoreResult r = soc_->run(last_lowered_.stream);
-  Report rep = make_report(model, {r});
-  rep.layer_intensity = plan_layer_intensity(*last_plan_);
-  return rep;
+  if (tracer_) tracer_->clear();
 }
+
+Report Session::run(const Model& model) { return run(plan(model)); }
 
 Report Session::run(const Plan& plan) {
   // A plan's buffers live in one core's address space; the single-stream
@@ -453,8 +445,7 @@ Report Session::run(const Plan& plan) {
                         << plan.core
                         << "; only core-0 plans run standalone (use "
                            "run_multicore for per-core execution)");
-  soc_->reset_all();
-  if (trace_sink_) trace_sink_->clear();
+  begin_run();
   last_lowered_ = lowering::emit_stream(plan, config().accel, config().cpu);
   last_plan_ = plan;
   if (tracing()) traced_plan_ = plan;
@@ -466,19 +457,17 @@ Report Session::run(const Plan& plan) {
 
 Report Session::run_stream(const WorkStream& stream,
                            const std::string& model_name, Cycle cpu_baseline) {
-  // reset_all keeps PhysMem contents and AddressSpace allocations — only
+  // begin_run keeps PhysMem contents and AddressSpace allocations — only
   // timing and cache state restart, so buffers the caller materialized
   // before this call are still live (and the caches are cold, as for any
   // other run).
-  soc_->reset_all();
-  if (trace_sink_) trace_sink_->clear();
+  begin_run();
   const CoreResult r = soc_->run(stream);
   return make_report(model_name, cpu_baseline, {r});
 }
 
 Report Session::run_multicore(const Model& model) {
-  soc_->reset_all();
-  if (trace_sink_) trace_sink_->clear();
+  begin_run();
   std::vector<Plan> plans;
   std::vector<LoweredModel> lowered;
   std::vector<const WorkStream*> streams;

@@ -248,10 +248,10 @@ class Session {
   // ---- Tracing -------------------------------------------------------------
   /// True iff the session was built with `.trace(...)` and an enabled
   /// config. The buffer holds the most recent run (run() clears it first).
-  bool tracing() const { return trace_sink_ != nullptr; }
+  bool tracing() const { return tracer_ != nullptr; }
   const trace::TraceConfig& trace_config() const { return trace_cfg_; }
-  /// The recorded event ring. GEMMINI_CHECKs that tracing is on.
-  const trace::RingBufferSink& trace_buffer() const;
+  /// The recorder and its event ring. GEMMINI_CHECKs that tracing is on.
+  const trace::Tracer& trace_buffer() const;
   /// The most recent run as a Perfetto-loadable trace.json (deterministic:
   /// equal runs serialize byte-identically).
   std::string trace_json(int indent = 0) const;
@@ -311,6 +311,8 @@ class Session {
   /// (plus the static rate x `cycles`) and, when sampling, the "energy.*"
   /// timelines; meter_ must be non-null.
   EnergyReport derive_energy(Cycle cycles) const;
+  /// Every run starts here: cold SoC timing and cache state, empty trace.
+  void begin_run();
   trace::PerfettoOptions perfetto_options(int indent) const;
 
   bool functional_ = false;
@@ -320,7 +322,6 @@ class Session {
   trace::TraceConfig trace_cfg_{};
   // Heap-allocated so the Tracer pointer held by the SoC's components stays
   // stable across Session moves.
-  std::unique_ptr<trace::RingBufferSink> trace_sink_;
   std::unique_ptr<trace::Tracer> tracer_;
   // Heap-allocated for the same reason as the Tracer: the SoC holds
   // pointers to both, which must survive Session moves.

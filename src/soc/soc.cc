@@ -31,13 +31,13 @@ SocConfig SocConfig::big_l2() {
 Soc::Soc(const SocConfig& cfg, trace::Tracer* tracer,
          metrics::Metrics* metrics, energy::EnergyMeter* energy)
     : cfg_(cfg),
-      tracer_(tracer),
       metrics_(metrics),
       energy_(energy),
       injector_(cfg.faults.enabled
                     ? std::make_unique<fault::Injector>(cfg.faults, tracer)
                     : nullptr),
-      mem_(cfg.mem, tracer, injector_.get()),
+      obs_{tracer, injector_.get()},
+      mem_(cfg.mem, obs_),
       frames_(0x8000'0000ull),
       ptw_(cfg.accel.translation.ptw, mem_, RequestorId{kPtwRequestor}) {
   cfg_.validate();
@@ -47,8 +47,7 @@ Soc::Soc(const SocConfig& cfg, trace::Tracer* tracer,
         mem_.phys(), frames_,
         /*va_base=*/0x1'0000'0000ull + c * 0x10'0000'0000ull));
     accels_.push_back(std::make_unique<Accelerator>(
-        cfg_.accel, mem_, ptw_, RequestorId{static_cast<int>(c)}, tracer,
-        injector_.get()));
+        cfg_.accel, mem_, ptw_, RequestorId{static_cast<int>(c)}, obs_));
   }
   // The published names exist (at zero) before the first run.
   if (metrics_) publish_metrics();
@@ -129,9 +128,9 @@ void Soc::maybe_os_switch(CoreExec& ce, unsigned core) {
   while (ce.t >= ce.next_os_switch) {
     // The process is preempted: charge the switch cost and flush the
     // accelerator's address-translation state (ASID change).
-    if (tracer_) {
-      tracer_->span(trace::EventKind::kOsSwitch, ce.t,
-                    ce.t + cfg_.os.switch_cost_cycles);
+    if (obs_.trace) {
+      obs_.trace->span(trace::EventKind::kOsSwitch, ce.t,
+                       ce.t + cfg_.os.switch_cost_cycles);
     }
     ce.t += cfg_.os.switch_cost_cycles;
     ce.result.cycles_by_tag["os"] += cfg_.os.switch_cost_cycles;
@@ -146,31 +145,18 @@ Cycle Soc::advance(CoreExec& ce, unsigned core) {
   const WorkStep& step = ce.stream->steps[ce.step];
   // Attribution context: everything recorded while this core advances —
   // including events on shared substrate — belongs to this core and layer.
-  if (tracer_) {
-    tracer_->set_context(static_cast<std::int16_t>(core), step.layer);
+  if (obs_.trace) {
+    obs_.trace->set_context(static_cast<std::int16_t>(core), step.layer);
   }
 
   if (step.kind == WorkStep::Kind::kCpu) {
     const Cycle t0 = ce.t;
     ce.t += step.cpu_cycles;
     ce.result.cpu_cycles += step.cpu_cycles;
-    ce.result.cycles_by_tag[step.tag] += step.cpu_cycles;
-    if (tracer_) {
-      tracer_->span(trace::EventKind::kCpuStep, t0, ce.t, step.cpu_cycles);
-      tracer_->span(trace::EventKind::kLayerSpan, t0, ce.t, ce.step);
+    if (obs_.trace) {
+      obs_.trace->span(trace::EventKind::kCpuStep, t0, ce.t, step.cpu_cycles);
     }
-    if (metrics_) {
-      metrics_->registry()
-          .histogram("step_cycles." + step.tag)
-          .record(step.cpu_cycles);
-      if (!step.metric_gauge.empty()) {
-        metrics_->registry().gauge(step.metric_gauge).set(step.metric_value);
-      }
-    }
-    if (functional_ && step.post_fixup) step.post_fixup(*spaces_[core]);
-    maybe_os_switch(ce, core);
-    ++ce.step;
-    return ce.done() ? kCycleMax : ce.t;
+    return finish_step(ce, core, t0);
   }
 
   // Accelerator step.
@@ -183,29 +169,33 @@ Cycle Soc::advance(CoreExec& ce, unsigned core) {
     accel.step();
   }
   if (accel.done()) {
-    const Cycle start_t = ce.t;
+    // The whole program ran with ce.t frozen (only `advance` moves core
+    // time), so [start, ce.t] is this step's wall-clock span.
+    const Cycle start = ce.t;
     ce.t = std::max(ce.t, accel.frontier());
-    ce.result.cycles_by_tag[step.tag] += ce.t - start_t;
-    // The whole program ran with ce.t frozen at start_t (only `advance`
-    // moves core time), so [start_t, ce.t] is this step's wall-clock span.
-    if (tracer_) {
-      tracer_->span(trace::EventKind::kLayerSpan, start_t, ce.t, ce.step);
-    }
-    if (metrics_) {
-      metrics_->registry()
-          .histogram("step_cycles." + step.tag)
-          .record(ce.t - start_t);
-      if (!step.metric_gauge.empty()) {
-        metrics_->registry().gauge(step.metric_gauge).set(step.metric_value);
-      }
-    }
-    if (functional_ && step.post_fixup) step.post_fixup(*spaces_[core]);
-    maybe_os_switch(ce, core);
-    ce.accel_started = false;
-    ++ce.step;
-    return ce.done() ? kCycleMax : ce.t;
+    return finish_step(ce, core, start);
   }
   return accel.next_issue_hint();
+}
+
+Cycle Soc::finish_step(CoreExec& ce, unsigned core, Cycle start) {
+  const WorkStep& step = ce.stream->steps[ce.step];
+  const Cycle cycles = ce.t - start;
+  ce.result.cycles_by_tag[step.tag] += cycles;
+  if (obs_.trace) {
+    obs_.trace->span(trace::EventKind::kLayerSpan, start, ce.t, ce.step);
+  }
+  if (metrics_) {
+    metrics_->registry().histogram("step_cycles." + step.tag).record(cycles);
+    if (!step.metric_gauge.empty()) {
+      metrics_->registry().gauge(step.metric_gauge).set(step.metric_value);
+    }
+  }
+  if (functional_ && step.post_fixup) step.post_fixup(*spaces_[core]);
+  maybe_os_switch(ce, core);
+  ce.accel_started = false;
+  ++ce.step;
+  return ce.done() ? kCycleMax : ce.t;
 }
 
 CoreResult Soc::run(const WorkStream& stream) {
@@ -248,7 +238,7 @@ std::vector<CoreResult> Soc::run_parallel(
         best_t > cfg_.max_cycles) {
       const CoreExec& ce = execs[best];
       const WorkStep& step = ce.stream->steps[ce.step];
-      if (tracer_) tracer_->clear_context();
+      if (obs_.trace) obs_.trace->clear_context();
       throw WatchdogError(cfg_.name, cfg_.max_cycles, best_t,
                           static_cast<unsigned>(best), step.layer, step.tag,
                           ce.step, ce.stream->steps.size());
@@ -286,7 +276,7 @@ std::vector<CoreResult> Soc::run_parallel(
     publish_metrics();
     metrics_->finish_run(soc_finish);
   }
-  if (tracer_) tracer_->clear_context();
+  if (obs_.trace) obs_.trace->clear_context();
   return results;
 }
 

@@ -17,6 +17,7 @@
 
 #include "src/accel/accelerator.h"
 #include "src/arch/config.h"
+#include "src/base/observers.h"
 #include "src/cpu/cost_model.h"
 #include "src/energy/energy.h"
 #include "src/fault/fault.h"
@@ -73,11 +74,13 @@ struct CoreResult {
 
 class Soc {
  public:
-  /// `tracer` (may be null = tracing off) is threaded through every timed
-  /// component: both buses, DRAM, L2, each core's accelerator (DMA, exec
-  /// unit, translation) and the SoC-level step/OS accounting. The SoC sets
-  /// the tracer's (core, layer) context before advancing a core, so events
-  /// on shared substrate are attributed to the issuing core.
+  /// `tracer` (may be null = tracing off) and the SoC's own fault injector
+  /// (built when cfg.faults.enabled) travel as one Observers value through
+  /// every timed component: both buses, DRAM, L2, each core's accelerator
+  /// (SRAMs, DMA, exec unit, translation); the tracer also records the
+  /// SoC-level step/OS accounting. The SoC sets the tracer's (core, layer)
+  /// context before advancing a core, so events on shared substrate are
+  /// attributed to the issuing core.
   /// `metrics` (null = metrics off, observational only) and `energy`
   /// (null = energy off) stop here: components below the SoC count events
   /// into their own typed stats, which the SoC zeroes at run start. Just
@@ -88,6 +91,11 @@ class Soc {
   explicit Soc(const SocConfig& cfg, trace::Tracer* tracer = nullptr,
                metrics::Metrics* metrics = nullptr,
                energy::EnergyMeter* energy = nullptr);
+
+  // Components hold references to sibling members (the PTW to the memory
+  // system, each accelerator to both) and the observers: a Soc stays put.
+  Soc(const Soc&) = delete;
+  Soc& operator=(const Soc&) = delete;
 
   /// Per-core process address space (create one per stream you lower).
   AddressSpace& address_space(unsigned core) { return *spaces_[core]; }
@@ -141,17 +149,22 @@ class Soc {
   /// Advances `core` by one unit of work (a CPU step, or one accelerator
   /// instruction). Returns the core's next event time.
   Cycle advance(CoreExec& ce, unsigned core);
+  /// Closes the current step, which ran over [start, ce.t]: its layer span,
+  /// per-tag cycles and step metrics, post-fixup and OS noise; moves to the
+  /// next step and returns the core's next event time.
+  Cycle finish_step(CoreExec& ce, unsigned core, Cycle start);
   void maybe_os_switch(CoreExec& ce, unsigned core);
   /// Writes every component's counts under their registry names.
   void publish_metrics();
 
   SocConfig cfg_;
-  trace::Tracer* tracer_;
   metrics::Metrics* metrics_;
   energy::EnergyMeter* energy_;
-  /// Built before mem_ / the accelerators so it can be threaded through
-  /// their constructors; null when faults are disabled.
+  /// Built before obs_ so it can be threaded through the components'
+  /// constructors; null when faults are disabled.
   std::unique_ptr<fault::Injector> injector_;
+  /// The tracer and injector_, handed to mem_ and every accelerator.
+  Observers obs_;
   MemorySystem mem_;
   FrameAllocator frames_;
   PageTableWalker ptw_;

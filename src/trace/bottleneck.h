@@ -79,9 +79,9 @@ struct BottleneckReport {
       default;
 };
 
-/// Attributes `events` (record order, as snapshotted from a sink) for the
+/// Attributes `events` (record order, as snapshotted from a Tracer) for the
 /// layers of `plan`, on core `core`. `accel`/`mem` parameterize the
-/// roofline cross-reference; `dropped` is the sink's overflow count.
+/// roofline cross-reference; `dropped` is the Tracer's overflow count.
 BottleneckReport attribute_bottlenecks(const std::vector<TraceEvent>& events,
                                        const sim::Plan& plan,
                                        const GemminiConfig& accel,

@@ -78,12 +78,12 @@ Unit event_kind_unit(EventKind k) {
   return Unit::kSoc;
 }
 
-RingBufferSink::RingBufferSink(std::size_t capacity)
+Tracer::Tracer(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
   events_.reserve(capacity_);
 }
 
-void RingBufferSink::record(const TraceEvent& e) {
+void Tracer::record(const TraceEvent& e) {
   if (events_.size() < capacity_) {
     events_.push_back(e);
     return;
@@ -94,7 +94,7 @@ void RingBufferSink::record(const TraceEvent& e) {
   ++dropped_;
 }
 
-std::vector<TraceEvent> RingBufferSink::snapshot() const {
+std::vector<TraceEvent> Tracer::snapshot() const {
   std::vector<TraceEvent> out;
   out.reserve(events_.size());
   for (std::size_t i = 0; i < events_.size(); ++i) {
@@ -103,7 +103,7 @@ std::vector<TraceEvent> RingBufferSink::snapshot() const {
   return out;
 }
 
-void RingBufferSink::clear() {
+void Tracer::clear() {
   events_.clear();
   head_ = 0;
   dropped_ = 0;

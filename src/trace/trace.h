@@ -2,36 +2,26 @@
 // Cycle-level trace subsystem: the simulator as a measurement instrument.
 //
 // Every timed component (DMA, exec unit, buses, DRAM banks, L2, TLBs, PTW,
-// CPU steps, OS noise) can emit structured TraceEvents through a Tracer
-// handle threaded through Soc/MemorySystem construction. Tracing is purely
-// observational: no instrumentation site ever feeds back into timing, so
-// cycle counts are bit-identical with tracing on and off (asserted by
-// tests/trace_test.cc against the golden counts).
+// CPU steps, OS noise) can emit structured TraceEvents through the Tracer
+// the Soc hands down in its Observers (src/base/observers.h). Tracing is
+// purely observational: no instrumentation site ever feeds back into
+// timing, so cycle counts are bit-identical with tracing on and off
+// (asserted by tests/trace_test.cc against the golden counts).
 //
-// Zero overhead off:
-//   * runtime: components hold a `trace::Tracer*` that is nullptr unless a
-//     session was built with `.trace(...)` — the only cost is one
-//     predictable branch per instrumentation site;
-//   * compile time: building with -DGEMMINI_TRACING=0 empties every Tracer
-//     method, so the null check folds away and the sites vanish entirely.
+// Off costs one predictable branch per instrumentation site: components
+// hold a `trace::Tracer*` that is nullptr unless a session was built with
+// `.trace(...)`.
 //
-// Events land in a TraceSink. The shipped sinks are a preallocated
-// ring-buffer recorder (oldest event dropped on overflow, drop count
-// reported) and a null sink. Exporters live next door: perfetto.h renders
-// the buffer as a Chrome/Perfetto trace.json (one track per core x unit),
-// bottleneck.h folds it into a per-layer attribution table.
+// The Tracer records into a preallocated ring (oldest event dropped on
+// overflow, drop count reported). Exporters live next door: perfetto.h
+// renders the buffer as a Chrome/Perfetto trace.json (one track per core x
+// unit), bottleneck.h folds it into a per-layer attribution table.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/base/types.h"
-
-// Compile-time master switch. Default on; -DGEMMINI_TRACING=0 compiles all
-// instrumentation sites down to nothing.
-#ifndef GEMMINI_TRACING
-#define GEMMINI_TRACING 1
-#endif
 
 namespace gemmini::trace {
 
@@ -86,7 +76,7 @@ const char* event_kind_name(EventKind k);
 Unit event_kind_unit(EventKind k);
 
 /// One structured trace record. POD, 40 bytes, preallocated in bulk by the
-/// ring-buffer sink. `core` and `layer` come from the Tracer's context (the
+/// Tracer's ring. `core` and `layer` come from the Tracer's context (the
 /// SoC sets it to the advancing core/layer before each step, so events on
 /// shared substrate are attributed to the core that issued them); -1 means
 /// "outside any core/layer". `unit` is normally derived from the kind; the
@@ -107,48 +97,6 @@ struct TraceEvent {
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-/// Where events go. Implementations must not look at the simulated clock or
-/// otherwise feed back into timing.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void record(const TraceEvent& e) = 0;
-};
-
-/// Swallows everything (a session traced "nowhere", e.g. for overhead A/B).
-class NullSink final : public TraceSink {
- public:
-  void record(const TraceEvent&) override {}
-};
-
-/// Bounded recorder: a preallocated ring of `capacity` events. When full,
-/// the oldest event is overwritten and the drop counter increments — a
-/// profiling run that outgrows its buffer keeps the most recent window
-/// instead of silently truncating the tail.
-class RingBufferSink final : public TraceSink {
- public:
-  explicit RingBufferSink(std::size_t capacity);
-
-  void record(const TraceEvent& e) override;
-
-  std::size_t size() const { return events_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t dropped() const { return dropped_; }
-  bool empty() const { return events_.empty(); }
-
-  /// Events in record order (oldest surviving first).
-  std::vector<TraceEvent> snapshot() const;
-
-  /// Forgets all events and the drop count (between runs of one session).
-  void clear();
-
- private:
-  std::size_t capacity_;
-  std::vector<TraceEvent> events_;  ///< reserved to capacity_ up front
-  std::size_t head_ = 0;            ///< oldest element once wrapped
-  std::uint64_t dropped_ = 0;
-};
-
 /// Recorder configuration, consumed by sim::Session::Builder::trace().
 struct TraceConfig {
   bool enabled = false;
@@ -166,27 +114,23 @@ struct TraceConfig {
   }
 };
 
-/// The handle every instrumented component holds (as a possibly-null
-/// pointer). Carries the sink plus the attribution context — which core and
-/// which model layer the SoC is currently advancing — so substrate events
-/// (bus, DRAM, L2) inherit the requestor's context without the substrate
-/// knowing anything about cores or layers.
+/// The recorder every instrumented component holds (as a possibly-null
+/// pointer): a bounded ring of `capacity` events plus the attribution
+/// context — which core and which model layer the SoC is currently
+/// advancing — so substrate events (bus, DRAM, L2) inherit the requestor's
+/// context without the substrate knowing anything about cores or layers.
+/// When the ring is full the oldest event is overwritten and the drop
+/// counter increments: a profiling run that outgrows its buffer keeps the
+/// most recent window instead of silently truncating the tail.
 class Tracer {
  public:
-  explicit Tracer(TraceSink& sink) : sink_(&sink) {}
+  explicit Tracer(std::size_t capacity);
 
   void set_context(std::int16_t core, std::int32_t layer) {
-#if GEMMINI_TRACING
     core_ = core;
     layer_ = layer;
-#else
-    (void)core;
-    (void)layer;
-#endif
   }
   void clear_context() { set_context(-1, -1); }
-  std::int16_t context_core() const { return core_; }
-  std::int32_t context_layer() const { return layer_; }
 
   /// Records a [begin, end] span (or an instant when begin == end) on the
   /// kind's default unit/track.
@@ -200,27 +144,9 @@ class Tracer {
   void span_on(Unit unit, EventKind kind, Cycle begin, Cycle end,
                std::uint64_t arg = 0, std::int32_t requestor = -1,
                std::uint32_t arg2 = 0) {
-#if GEMMINI_TRACING
-    TraceEvent e;
-    e.begin = begin;
-    e.end = end;
-    e.arg = arg;
-    e.kind = kind;
-    e.unit = unit;
-    e.core = core_;
-    e.layer = layer_;
-    e.requestor = requestor;
-    e.arg2 = arg2;
-    sink_->record(e);
-#else
-    (void)unit;
-    (void)kind;
-    (void)begin;
-    (void)end;
-    (void)arg;
-    (void)requestor;
-    (void)arg2;
-#endif
+    record({.begin = begin, .end = end, .arg = arg, .kind = kind,
+            .unit = unit, .core = core_, .layer = layer_,
+            .requestor = requestor, .arg2 = arg2});
   }
 
   void instant(EventKind kind, Cycle at, std::uint64_t arg = 0,
@@ -228,8 +154,24 @@ class Tracer {
     span(kind, at, at, arg, requestor, arg2);
   }
 
+  std::size_t size() const { return events_.size(); }
+  std::size_t capacity() const { return capacity_; }
+  std::uint64_t dropped() const { return dropped_; }
+  bool empty() const { return events_.empty(); }
+
+  /// Events in record order (oldest surviving first).
+  std::vector<TraceEvent> snapshot() const;
+
+  /// Forgets all events and the drop count (between runs of one session).
+  void clear();
+
  private:
-  TraceSink* sink_;
+  void record(const TraceEvent& e);
+
+  std::size_t capacity_;
+  std::vector<TraceEvent> events_;  ///< reserved to capacity_ up front
+  std::size_t head_ = 0;            ///< oldest element once wrapped
+  std::uint64_t dropped_ = 0;
   std::int16_t core_ = -1;
   std::int32_t layer_ = -1;
 };

@@ -1,16 +1,16 @@
 #include "src/vm/translation.h"
 
+#include "src/fault/fault.h"
+#include "src/trace/trace.h"
+
 namespace gemmini {
 
 TranslationSystem::TranslationSystem(const TranslationConfig& cfg,
-                                     PageTableWalker& ptw,
-                                     trace::Tracer* tracer,
-                                     fault::Injector* injector)
+                                     PageTableWalker& ptw, Observers obs)
     : cfg_(cfg),
       private_(cfg.private_tlb, "private_tlb", cfg.profile_window),
       ptw_(ptw),
-      tracer_(tracer),
-      injector_(injector) {
+      obs_(obs) {
   if (cfg_.l2_tlb_present && cfg_.l2_tlb.entries > 0) {
     l2_.emplace(cfg_.l2_tlb, "l2_tlb", cfg_.profile_window);
   }
@@ -24,7 +24,7 @@ Translation TranslationSystem::translate(const AddressSpace& as, VAddr va,
   // Fault layer: a transient translation fault (parity error in the TLB
   // lookup, dropped walk response) is retried after a fixed penalty — the
   // access still translates correctly, it just arrives later.
-  if (injector_) t += injector_->on_translate(t);
+  if (obs_.faults) t += obs_.faults->on_translate(t);
 
   // Filter registers: zero-latency bypass when the same page repeats within
   // the read (or write) stream. Crucially this also *skips* the TLB lookup,
@@ -66,14 +66,14 @@ Translation TranslationSystem::translate(const AddressSpace& as, VAddr va,
       ppn_base = walk.ppn_base;
       out.level = TranslationLevel::kPageWalk;
       if (l2_) l2_->fill(vpn, walk.ppn_base);
-      if (tracer_) {
-        tracer_->span(trace::EventKind::kPtwWalk, walk_start, now);
+      if (obs_.trace) {
+        obs_.trace->span(trace::EventKind::kPtwWalk, walk_start, now);
       }
     }
     private_.fill(vpn, ppn_base);
     // The whole miss-resolution window (L2 TLB probe and, on a full miss,
     // the page walk) is one translation span.
-    if (tracer_) tracer_->span(trace::EventKind::kTlbMiss, t, now);
+    if (obs_.trace) obs_.trace->span(trace::EventKind::kTlbMiss, t, now);
   }
 
   if (cfg_.filter_registers) {

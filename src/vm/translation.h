@@ -11,9 +11,8 @@
 
 #include <optional>
 
+#include "src/base/observers.h"
 #include "src/base/types.h"
-#include "src/fault/fault.h"
-#include "src/trace/trace.h"
 #include "src/vm/page_table.h"
 #include "src/vm/ptw.h"
 #include "src/vm/tlb.h"
@@ -54,11 +53,11 @@ class TranslationSystem {
   };
 
   /// `ptw` may be shared with other translation systems (multi-core SoCs
-  /// share the single walker, and CPUs contend for it). `tracer` (may be
-  /// null) receives TLB-miss and page-walk spans.
+  /// share the single walker, and CPUs contend for it). `obs.trace`
+  /// receives TLB-miss and page-walk spans; `obs.faults` injects transient
+  /// translation faults.
   TranslationSystem(const TranslationConfig& cfg, PageTableWalker& ptw,
-                    trace::Tracer* tracer = nullptr,
-                    fault::Injector* injector = nullptr);
+                    Observers obs = {});
 
   Translation translate(const AddressSpace& as, VAddr va, bool is_write,
                         Cycle t);
@@ -83,8 +82,7 @@ class TranslationSystem {
   Tlb private_;
   std::optional<Tlb> l2_;
   PageTableWalker& ptw_;
-  trace::Tracer* tracer_;
-  fault::Injector* injector_;
+  Observers obs_;
   Stats stats_;
 
   struct FilterReg {

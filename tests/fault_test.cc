@@ -499,21 +499,6 @@ TEST(FaultTrace, EccCorrectionsAppearInTheTrace) {
   EXPECT_FALSE(r.bottlenecks.empty());
 }
 
-TEST(FaultTrace, RingBufferDropAccountingIsExact) {
-  trace::RingBufferSink sink(4);
-  for (int i = 0; i < 11; ++i) {
-    trace::TraceEvent e;
-    e.begin = e.end = static_cast<Cycle>(i);
-    sink.record(e);
-  }
-  EXPECT_EQ(sink.size(), 4u);
-  EXPECT_EQ(sink.dropped(), 7u);  // exact, not saturating
-  const auto events = sink.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events.front().begin, 7u);  // oldest survivor
-  EXPECT_EQ(events.back().begin, 10u);
-}
-
 TEST(FaultTrace, DroppedEventsSurfaceInReportWhenBufferWraps) {
   SocConfig cfg;
   trace::TraceConfig tc;

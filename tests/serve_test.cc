@@ -207,7 +207,7 @@ TEST(ServeScheduler, FifoOrderAndBoundedAdmission) {
   EXPECT_TRUE(s.admit(r0, 10));
   EXPECT_TRUE(s.admit(r1, 11));
   EXPECT_FALSE(s.admit(r2, 12));  // full -> shed
-  EXPECT_EQ(s.shed_count(), 1u);
+  EXPECT_EQ(s.depth(), 2u);       // the shed request never queued
   auto b = s.next_batch(13);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(b[0].req.id, 0u);

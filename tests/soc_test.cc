@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "src/dnn/zoo.h"
 #include "src/model/lowering/pipeline.h"
 #include "src/model/runner.h"
@@ -11,6 +13,13 @@
 
 namespace gemmini {
 namespace {
+
+// Components reference sibling members and the SoC's observers, so none of
+// the owning objects may be copied or moved.
+static_assert(!std::is_move_constructible_v<Soc>);
+static_assert(!std::is_move_constructible_v<MemorySystem>);
+static_assert(!std::is_move_constructible_v<Accelerator>);
+static_assert(!std::is_copy_assignable_v<Soc>);
 
 Model tiny_cnn() {
   ModelBuilder b("tiny-cnn");

@@ -112,28 +112,26 @@ TEST(TraceInvariance, OverflowingBufferStillObservational) {
 
 // ---- Ring buffer ------------------------------------------------------------
 
-TEST(RingBufferSink, OldestDroppedOnOverflow) {
-  trace::RingBufferSink sink(4);
-  for (std::uint64_t i = 0; i < 7; ++i) {
-    trace::TraceEvent e;
-    e.begin = e.end = i;
-    e.arg = i;
-    sink.record(e);
+TEST(TracerRing, OldestDroppedOnOverflowWithExactDropCount) {
+  trace::Tracer tracer(4);
+  for (std::uint64_t i = 0; i < 11; ++i) {
+    tracer.instant(trace::EventKind::kL2Hit, i, /*arg=*/i);
   }
-  EXPECT_EQ(sink.size(), 4u);
-  EXPECT_EQ(sink.capacity(), 4u);
-  EXPECT_EQ(sink.dropped(), 3u);  // events 0, 1, 2 overwritten
-  const auto events = sink.snapshot();
+  EXPECT_EQ(tracer.size(), 4u);
+  EXPECT_EQ(tracer.capacity(), 4u);
+  EXPECT_EQ(tracer.dropped(), 7u);  // events 0..6 overwritten; exact count
+  const auto events = tracer.snapshot();
   ASSERT_EQ(events.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].arg, i + 3);  // oldest surviving first
+    EXPECT_EQ(events[i].begin, i + 7);  // oldest surviving first
+    EXPECT_EQ(events[i].arg, i + 7);
   }
-  sink.clear();
-  EXPECT_TRUE(sink.empty());
-  EXPECT_EQ(sink.dropped(), 0u);
+  tracer.clear();
+  EXPECT_TRUE(tracer.empty());
+  EXPECT_EQ(tracer.dropped(), 0u);
 }
 
-TEST(RingBufferSink, DroppedCountReachesTheReport) {
+TEST(TracerRing, DroppedCountReachesTheReport) {
   const SocConfig cfg = test_config();
   sim::Session tiny = traced_session(cfg, /*buffer_events=*/128);
   const sim::Report r = tiny.run(zoo::squeezenet_v11(48));
