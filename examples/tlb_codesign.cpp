@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
         SocConfig cfg = SocConfig::base_1mb_l2();
         cfg.accel.has_im2col = true;
         cfg.accel.translation.private_tlb.entries = priv;
-        cfg.accel.translation.l2_tlb_present = shared > 0;
-        cfg.accel.translation.l2_tlb.entries = shared > 0 ? shared : 1;
+        cfg.accel.translation.l2_tlb.entries = shared;
         cfg.accel.translation.filter_registers = filters;
         std::string name = "p";
         name += std::to_string(priv);
@@ -60,11 +59,12 @@ int main(int argc, char** argv) {
     SocConfig cfg = SocConfig::base_1mb_l2();
     cfg.accel.has_im2col = true;
     cfg.accel.translation.private_tlb.entries = 4;
-    cfg.accel.translation.l2_tlb_present = false;
+    cfg.accel.translation.l2_tlb.entries = 0;
     cfg.accel.translation.filter_registers = true;
+    sim::SessionOptions exhaustive;
+    exhaustive.tiling = std::make_shared<const lowering::ExhaustiveTiling>();
     sweep.add({"p4-s0-filt-exhaustive", std::move(cfg), sim::Inference{model},
-               /*functional=*/false, /*seed=*/1, /*placement=*/nullptr,
-               std::make_shared<const lowering::ExhaustiveTiling>()});
+               std::move(exhaustive)});
   }
 
   const std::vector<sim::Report> reports = sweep.run({.threads = 4});

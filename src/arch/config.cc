@@ -28,7 +28,7 @@ void GemminiConfig::validate() const {
   GEMMINI_CONFIG_REQUIRE(rob_entries > 0, "ROB needs entries");
   GEMMINI_CONFIG_REQUIRE(clock_ghz > 0, "clock must be positive");
   translation.private_tlb.validate();
-  if (translation.l2_tlb_present && translation.l2_tlb.entries > 0) {
+  if (translation.l2_tlb.entries > 0) {
     translation.l2_tlb.validate();
   }
 }
@@ -63,7 +63,7 @@ GemminiConfig GemminiConfig::edge() {
   GemminiConfig cfg = paper_default();
   cfg.name = "edge-16x16";
   cfg.translation.private_tlb.entries = 4;
-  cfg.translation.l2_tlb_present = false;
+  cfg.translation.l2_tlb.entries = 0;
   cfg.validate();
   return cfg;
 }

@@ -51,8 +51,6 @@ struct GemminiConfig {
   unsigned sp_banks = 4;
   std::uint64_t acc_capacity_bytes = 64 * 1024;
   unsigned acc_banks = 2;
-  Cycle sp_read_latency = 1;
-  Cycle sp_write_latency = 1;
 
   // Optional peripheral compute blocks.
   bool has_im2col = false;     ///< on-the-fly im2col unit (Fig. 7 study)

@@ -53,9 +53,7 @@ std::string generate_params_header(const GemminiConfig& cfg) {
       << "#define DMA_MAX_INFLIGHT " << cfg.dma_max_inflight << "\n"
       << "#define TLB_ENTRIES " << cfg.translation.private_tlb.entries
       << "\n"
-      << "#define L2_TLB_ENTRIES "
-      << (cfg.translation.l2_tlb_present ? cfg.translation.l2_tlb.entries : 0)
-      << "\n"
+      << "#define L2_TLB_ENTRIES " << cfg.translation.l2_tlb.entries << "\n"
       << "#define HAS_TLB_FILTER_REGS "
       << (cfg.translation.filter_registers ? 1 : 0) << "\n\n"
       << "#endif  // GEMMINI_PARAMS_H\n";

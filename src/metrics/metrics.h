@@ -111,21 +111,6 @@ class Histogram {
     count_ = sum_ = min_ = max_ = 0;
   }
 
-  /// Bucket-wise accumulate (bucket counts must agree — all registry
-  /// histograms use kDefaultBuckets, so they do).
-  void merge_from(const Histogram& other) {
-    GEMMINI_CHECK_MSG(buckets_.size() == other.buckets_.size(),
-                      "Histogram::merge_from: bucket count mismatch");
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-      buckets_[i] += other.buckets_[i];
-    if (other.count_ != 0) {
-      if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-      if (other.max_ > max_) max_ = other.max_;
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
-  }
-
  private:
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;
@@ -154,20 +139,6 @@ class Registry {
     for (auto& [name, c] : counters_) c.reset();
     for (auto& [name, g] : gauges_) g.reset();
     for (auto& [name, h] : histograms_) h.reset();
-  }
-
-  /// Deterministic accumulate: counters and histograms add; gauges take the
-  /// max (a gauge is a level, not a flow — max is the only merge that is
-  /// order-independent and still meaningful for depths/footprints).
-  void merge_from(const Registry& other) {
-    for (const auto& [name, c] : other.counters_)
-      counters_[name].add(c.value());
-    for (const auto& [name, g] : other.gauges_) {
-      Gauge& mine = gauges_[name];
-      if (g.value() > mine.value()) mine.set(g.value());
-    }
-    for (const auto& [name, h] : other.histograms_)
-      histograms_[name].merge_from(h);
   }
 
  private:

@@ -28,7 +28,10 @@
 namespace gemmini::lowering {
 
 struct PipelineOptions {
+  /// Functional mode: lowering materializes real int8 weights/inputs (and
+  /// the SoC moves real data). Timing-only (the default) moves only time.
   bool functional = false;
+  /// Seed for functional-mode weight/input initialization.
   std::uint64_t seed = 1;
   /// nullptr = DefaultPlacement / HeuristicTiling (the paper's heuristics;
   /// golden cycle counts are pinned against these defaults).

@@ -31,17 +31,23 @@ std::string ServeSpec::label() const {
   return out;
 }
 
-Server::Server(SocConfig config, ServeSpec spec, Options opts)
+Server::Server(SocConfig config, ServeSpec spec, ServerOptions opts)
     : config_(std::move(config)), spec_(std::move(spec)), opts_(std::move(opts)) {
   spec_.validate();
+  GEMMINI_CONFIG_REQUIRE(
+      !opts_.trace.enabled && !opts_.energy.active(),
+      "serve::Server '" + spec_.label() +
+          "': takes no trace or energy meter; use ServeSpec::trace_missed "
+          "for per-request bottlenecks");
 }
 
 sim::Session Server::make_session(const SocConfig& cfg, bool with_trace) const {
+  // The probes carry the compile-side options only: the serving layer
+  // meters itself (see ServerOptions), and the constructor refused a trace
+  // and an energy meter.
   return sim::Session::builder(cfg)
-      .functional(opts_.functional)
-      .seed(opts_.seed)
-      .placement(opts_.placement)
-      .tiling(opts_.tiling)
+      .options(opts_)
+      .metrics({})
       .trace(with_trace ? trace::TraceConfig::enabled_default()
                         : trace::TraceConfig{})
       .build();
@@ -460,11 +466,7 @@ sim::Report Server::run() {
   rep.fps = rep.seconds > 0
                 ? static_cast<double>(st.good) / rep.seconds
                 : 0.0;
-  {
-    SocConfig probe_cfg = config_;
-    probe_cfg.faults.enabled = false;
-    rep.estimates = make_session(probe_cfg, /*with_trace=*/false).estimates();
-  }
+  rep.estimates = sim::estimate(config_);
   if (faulty) {
     rep.reliability.enabled = true;
     rep.reliability.seed = config_.faults.seed;

@@ -52,11 +52,9 @@
 // clone of the config.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/metrics/metrics.h"
 #include "src/serve/scheduler.h"
 #include "src/serve/traffic.h"
 #include "src/sim/report.h"
@@ -88,26 +86,21 @@ struct ServeSpec {
   std::string label() const;
 };
 
-/// Session knobs forwarded to every internal Session (calibration, faulty
-/// per-request runs, miss attribution).
-struct ServerOptions {
-  bool functional = false;
-  std::uint64_t seed = 1;
-  std::shared_ptr<const lowering::PlacementPolicy> placement;
-  std::shared_ptr<const lowering::TilingPolicy> tiling;
-  /// Serving-layer telemetry: "serve.*" counters plus the queue-depth and
-  /// in-flight-batch gauges, sampled on the event-loop clock when
-  /// `sample_interval_cycles > 0`. Lands in Report::metrics. Per-request
-  /// spans (ServerStats::spans) are always recorded — they cost one map
-  /// entry per request, not a hot-path branch.
-  metrics::MetricsConfig metrics{};
-};
+/// A Server takes the ordinary session options. The compile-side knobs
+/// (functional, seed, placement, tiling) reach every internal Session
+/// (calibration, faulty per-request runs, miss attribution). `metrics`
+/// meters the serving layer itself, not those probe Sessions: "serve.*"
+/// counters plus the queue-depth and in-flight-batch gauges, sampled on the
+/// event-loop clock when `sample_interval_cycles > 0`, land in
+/// Report::metrics. Per-request spans (ServerStats::spans) are always
+/// recorded. A Server has no single Session to trace or meter, so the
+/// constructor refuses `trace.enabled` and an active `energy` with a
+/// ConfigError (ServeSpec::trace_missed traces a missed request's class).
+using ServerOptions = sim::SessionOptions;
 
 class Server {
  public:
-  using Options = ServerOptions;
-
-  Server(SocConfig config, ServeSpec spec, Options opts = {});
+  Server(SocConfig config, ServeSpec spec, ServerOptions opts = {});
 
   /// Runs the serving scenario to completion (every admitted request
   /// finishes) and returns the report: `cycles` is the makespan, the
@@ -134,7 +127,7 @@ class Server {
 
   SocConfig config_;
   ServeSpec spec_;
-  Options opts_;
+  ServerOptions opts_;
 };
 
 /// Renders a serve report's per-request spans — and, when the report

@@ -25,15 +25,9 @@ namespace {
 
 Session build_session(const SweepPoint& point, const SocConfig& cfg,
                       bool with_trace) {
-  return Session::builder(cfg)
-      .functional(point.functional)
-      .seed(point.seed)
-      .placement(point.placement)
-      .tiling(point.tiling)
-      .trace(with_trace ? point.trace : trace::TraceConfig{})
-      .metrics(point.metrics)
-      .energy(point.energy)
-      .build();
+  Session::Builder b = Session::builder(cfg).options(point.options);
+  if (!with_trace) b.trace({});
+  return b.build();
 }
 
 /// Runs `run` on the point's traced Session over `cfg` and writes the
@@ -42,11 +36,10 @@ template <typename Run>
 Report run_session(const SweepPoint& point, const SocConfig& cfg, Run&& run) {
   Session session = build_session(point, cfg, /*with_trace=*/true);
   Report rep = run(session);
-  if (session.tracing() && !point.trace.export_path.empty() &&
-      !session.write_trace(point.trace.export_path)) {
+  const std::string& path = point.options.trace.export_path;
+  if (session.tracing() && !path.empty() && !session.write_trace(path)) {
     throw RuntimeError("sweep point '" + point.name +
-                       "': could not write trace to " +
-                       point.trace.export_path);
+                       "': could not write trace to " + path);
   }
   return rep;
 }
@@ -74,7 +67,7 @@ Report run_campaign(const SweepPoint& point, const Campaign& c) {
   GEMMINI_CONFIG_REQUIRE(point.config.faults.enabled,
                          "sweep point '" + point.name +
                              "': a campaign needs config.faults.enabled");
-  GEMMINI_CONFIG_REQUIRE(point.functional,
+  GEMMINI_CONFIG_REQUIRE(point.options.functional,
                          "sweep point '" + point.name +
                              "': fault campaigns compare outputs, so the "
                              "point must be functional");
@@ -176,18 +169,7 @@ Report Sweep::run_point(const SweepPoint& point) {
             });
           },
           [&](const Serve& w) {
-            // A Server has no single Session to trace or meter: refuse
-            // those settings rather than drop them.
-            GEMMINI_CONFIG_REQUIRE(
-                !point.trace.enabled && !point.energy.active(),
-                "sweep point '" + point.name +
-                    "': serve points take no trace or energy meter; use "
-                    "ServeSpec::trace_missed for per-request bottlenecks");
-            return serve::Server(point.config, w.spec,
-                                 {point.functional, point.seed,
-                                  point.placement, point.tiling,
-                                  point.metrics})
-                .run();
+            return serve::Server(point.config, w.spec, point.options).run();
           },
           [&](const Campaign& w) { return run_campaign(point, w); },
       },
@@ -273,10 +255,6 @@ Experiment& Experiment::models(std::vector<Model> ms) {
   for (Model& m : ms) models_.push_back(std::move(m));
   return *this;
 }
-Experiment& Experiment::geometries(std::vector<SpatialArrayGeometry> gs) {
-  geometries_ = std::move(gs);
-  return *this;
-}
 Experiment& Experiment::scratchpad_sizes(std::vector<std::uint64_t> bytes) {
   sp_sizes_ = std::move(bytes);
   return *this;
@@ -304,11 +282,6 @@ Experiment& Experiment::dram_interleaves(
 }
 Experiment& Experiment::configs(std::vector<SocConfig> cfgs) {
   explicit_configs_ = std::move(cfgs);
-  return *this;
-}
-Experiment& Experiment::placement_policies(
-    std::vector<std::shared_ptr<const lowering::PlacementPolicy>> ps) {
-  placement_policies_ = std::move(ps);
   return *this;
 }
 Experiment& Experiment::tiling_policies(
@@ -340,14 +313,6 @@ Experiment& Experiment::llm_kv_layouts(std::vector<llm::KvLayout> layouts) {
   llm_layouts_ = std::move(layouts);
   return *this;
 }
-Experiment& Experiment::llm_decode_steps(std::vector<std::uint64_t> steps) {
-  llm_steps_ = std::move(steps);
-  return *this;
-}
-Experiment& Experiment::llm_int4(std::vector<bool> int4) {
-  llm_int4_ = std::move(int4);
-  return *this;
-}
 Experiment& Experiment::offered_loads(std::vector<double> loads) {
   offered_loads_ = std::move(loads);
   return *this;
@@ -356,37 +321,33 @@ Experiment& Experiment::serve_policies(std::vector<serve::ServeConfig> policies)
   serve_policies_ = std::move(policies);
   return *this;
 }
-Experiment& Experiment::strict(bool on) {
-  strict_ = on;
-  return *this;
-}
 Experiment& Experiment::multicore(bool on) {
   multicore_ = on;
   return *this;
 }
 Experiment& Experiment::functional(bool on) {
-  functional_ = on;
+  options_.functional = on;
   return *this;
 }
 Experiment& Experiment::seed(std::uint64_t s) {
-  seed_ = s;
+  options_.seed = s;
   return *this;
 }
 Experiment& Experiment::trace_point(std::string point_name,
                                     trace::TraceConfig cfg) {
   trace_point_name_ = std::move(point_name);
-  trace_cfg_ = std::move(cfg);
-  trace_cfg_.enabled = true;
+  options_.trace = std::move(cfg);
+  options_.trace.enabled = true;
   return *this;
 }
 Experiment& Experiment::metrics(metrics::MetricsConfig cfg) {
-  metrics_cfg_ = std::move(cfg);
-  metrics_cfg_.enabled = true;
+  options_.metrics = std::move(cfg);
+  options_.metrics.enabled = true;
   return *this;
 }
 Experiment& Experiment::energy(energy::EnergyConfig cfg) {
-  energy_cfg_ = std::move(cfg);
-  energy_cfg_.enabled = true;
+  options_.energy = std::move(cfg);
+  options_.energy.enabled = true;
   return *this;
 }
 
@@ -397,10 +358,8 @@ Sweep Experiment::sweep() const {
                          "sim::Experiment: llm() replaces the model list; do "
                          "not combine it with model()/models()");
   GEMMINI_CONFIG_REQUIRE(
-      llm_base_.has_value() || (llm_batches_.empty() && llm_layouts_.empty() &&
-                                llm_steps_.empty() && llm_int4_.empty()),
-      "sim::Experiment: llm_batches()/llm_kv_layouts()/llm_decode_steps()/"
-      "llm_int4() need llm()");
+      llm_base_.has_value() || (llm_batches_.empty() && llm_layouts_.empty()),
+      "sim::Experiment: llm_batches()/llm_kv_layouts() need llm()");
   GEMMINI_CONFIG_REQUIRE(
       !multicore_ || (!llm_base_ && !serve_spec_ && campaign_runs_ == 0),
       "sim::Experiment: multicore() applies to inference points only (llm() "
@@ -411,11 +370,11 @@ Sweep Experiment::sweep() const {
                          "fault_campaign()");
   GEMMINI_CONFIG_REQUIRE(
       explicit_configs_.empty() ||
-          (geometries_.empty() && sp_sizes_.empty() && l2_sizes_.empty() &&
+          (sp_sizes_.empty() && l2_sizes_.empty() &&
            core_counts_.empty() && dram_channels_.empty() &&
            dram_schedulers_.empty() && dram_interleaves_.empty()),
       "sim::Experiment: configs() cannot be combined with per-axis setters");
-  GEMMINI_CONFIG_REQUIRE(campaign_runs_ == 0 || functional_,
+  GEMMINI_CONFIG_REQUIRE(campaign_runs_ == 0 || options_.functional,
                          "sim::Experiment: fault_campaign() compares outputs, "
                          "so it needs functional()");
   GEMMINI_CONFIG_REQUIRE(campaign_runs_ == 0 || !serve_spec_,
@@ -457,16 +416,6 @@ Sweep Experiment::sweep() const {
     }
   } else {
     variants.push_back({base_, ""});
-    expand(
-        [this](SocConfig& cfg, std::size_t i) {
-          const SpatialArrayGeometry& g = geometries_[i];
-          cfg.accel.array = g;
-          std::ostringstream oss;
-          oss << "g" << g.mesh_rows << "x" << g.mesh_cols << "x" << g.tile_rows
-              << "x" << g.tile_cols;
-          return oss.str();
-        },
-        geometries_.size());
     expand(
         [this](SocConfig& cfg, std::size_t i) {
           cfg.accel.sp_capacity_bytes = sp_sizes_[i];
@@ -516,8 +465,8 @@ Sweep Experiment::sweep() const {
       },
       fault_configs_.size());
 
-  // Workload columns: the llm decode grid (batch x layout x steps x int4
-  // around the llm() base config), or the serving grid (offered load x
+  // Workload columns: the llm decode grid (batch x layout around the llm()
+  // base config), or the serving grid (offered load x
   // scheduler policy x model), or the model list; an unset axis keeps the
   // base value. A column's `axes` extend the point's config label; its
   // `name` (the model's, or the decode config's label) follows the "/".
@@ -531,18 +480,11 @@ Sweep Experiment::sweep() const {
     for (const unsigned b : axis_or(llm_batches_, llm_base_->batch)) {
       for (const llm::KvLayout layout :
            axis_or(llm_layouts_, llm_base_->kv_layout)) {
-        for (const std::uint64_t t :
-             axis_or(llm_steps_, llm_base_->decode_steps)) {
-          for (const bool i4 : axis_or(llm_int4_, llm_base_->int4_weights)) {
-            llm::DecodeConfig c = *llm_base_;
-            c.batch = b;
-            c.kv_layout = layout;
-            c.decode_steps = t;
-            c.int4_weights = i4;
-            c.validate();
-            columns.push_back({"", c.label(), Decode{std::move(c)}});
-          }
-        }
+        llm::DecodeConfig c = *llm_base_;
+        c.batch = b;
+        c.kv_layout = layout;
+        c.validate();
+        columns.push_back({"", c.label(), Decode{std::move(c)}});
       }
     }
   } else if (serve_spec_) {
@@ -580,44 +522,33 @@ Sweep Experiment::sweep() const {
     }
   }
 
-  // The lowering-policy axes compose with every config axis (they are
-  // orthogonal to the SocConfig, so they combine with explicit configs
-  // too). An unset axis contributes one "default" column with no label.
+  // The tiling-policy axis composes with every config axis (it is
+  // orthogonal to the SocConfig, so it combines with explicit configs too).
+  // An unset axis contributes one "default" column with no label.
   Sweep sw;
   for (const Variant& v : variants) {
-    for (const auto& pp : axis_or(placement_policies_, nullptr)) {
-      for (const auto& tp : axis_or(tiling_policies_, nullptr)) {
-        for (const Column& col : columns) {
-          std::string label = v.label;
-          append_label(label, pp ? pp->name() : "");
-          append_label(label, tp ? tp->name() : "");
-          append_label(label, col.axes);
-          SweepPoint p{label.empty() ? col.name : label + "/" + col.name,
-                       v.cfg,
-                       col.workload,
-                       functional_,
-                       seed_,
-                       pp,
-                       tp};
-          // Campaigns only make sense for fault-enabled points; a baseline
-          // column in the faults axis runs once, normally.
-          if (campaign_runs_ > 0 && v.cfg.faults.enabled) {
-            p.workload = Campaign{std::get<Inference>(col.workload).model,
-                                  campaign_runs_};
-          }
-          p.metrics = metrics_cfg_;
-          p.energy = energy_cfg_;
-          if (!trace_point_name_.empty() && p.name == trace_point_name_) {
-            p.trace = trace_cfg_;
-          }
-          sw.add(std::move(p));
+    for (const auto& tp : axis_or(tiling_policies_, nullptr)) {
+      for (const Column& col : columns) {
+        std::string label = v.label;
+        append_label(label, tp ? tp->name() : "");
+        append_label(label, col.axes);
+        SweepPoint p{label.empty() ? col.name : label + "/" + col.name,
+                     v.cfg, col.workload, options_};
+        p.options.tiling = tp;
+        if (p.name != trace_point_name_) p.options.trace = {};
+        // Campaigns only make sense for fault-enabled points; a baseline
+        // column in the faults axis runs once, normally.
+        if (campaign_runs_ > 0 && v.cfg.faults.enabled) {
+          p.workload = Campaign{std::get<Inference>(col.workload).model,
+                                campaign_runs_};
         }
+        sw.add(std::move(p));
       }
     }
   }
   if (!trace_point_name_.empty()) {
     bool found = false;
-    for (const SweepPoint& p : sw.points()) found |= p.trace.enabled;
+    for (const SweepPoint& p : sw.points()) found |= p.options.trace.enabled;
     GEMMINI_CONFIG_REQUIRE(found, "sim::Experiment: trace_point '" +
                                       trace_point_name_ +
                                       "' matches no sweep point");
@@ -626,9 +557,7 @@ Sweep Experiment::sweep() const {
 }
 
 std::vector<Report> Experiment::run(const SweepOptions& opts) const {
-  SweepOptions o = opts;
-  o.strict = o.strict || strict_;
-  return sweep().run(o);
+  return sweep().run(opts);
 }
 
 // ---- Successive-halving search ---------------------------------------------
@@ -676,7 +605,7 @@ SearchResult Experiment::search(const SearchSpec& spec) const {
   const bool needs_energy = spec.objective != SearchSpec::Objective::kCycles ||
                             spec.power_budget_watts > 0;
   GEMMINI_CONFIG_REQUIRE(
-      !needs_energy || energy_cfg_.active(),
+      !needs_energy || options_.energy.active(),
       "sim::Experiment::search: an energy/EDP objective or a power budget "
       "needs the energy meter; call .energy() with nonzero prices first");
 

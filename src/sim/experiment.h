@@ -16,12 +16,12 @@
 //   std::vector<sim::Report> reports = sweep.run({.threads = 8});
 //
 // Experiment is the grid builder on top: give it a base SocConfig plus the
-// axes to vary (array geometry, scratchpad size, L2 size, core count, model
-// list) and it emits the cartesian-product Sweep with stable point names.
+// axes to vary (scratchpad size, L2 size, core count, DRAM, model list)
+// and it emits the cartesian-product Sweep with stable point names.
 //
 //   auto reports = sim::Experiment(SocConfig::base_1mb_l2())
-//                      .geometries({{16, 16, 1, 1}, {1, 16, 16, 1}})
 //                      .scratchpad_sizes({256 << 10, 512 << 10})
+//                      .l2_sizes({1 << 20, 2 << 20})
 //                      .models(zoo::all_paper_models_scaled())
 //                      .run();
 
@@ -76,39 +76,19 @@ struct Campaign {
 /// those out, not a runtime check.
 using Workload = std::variant<Inference, Decode, Serve, Campaign>;
 
-/// One independent experiment: a config, a workload, and how to run it.
-/// `placement`/`tiling` select the lowering-pipeline policies for this
-/// point (nullptr = the paper's default heuristics). Policy objects are
-/// shared across worker threads, so they must be deterministic and
-/// thread-safe under const access — every shipped policy is.
+/// One independent experiment: a config, a workload, and the session
+/// options every Session the point builds carries. The Session-backed kinds
+/// (Inference, Decode, a campaign's golden run) honour every option; a
+/// traced point's Report carries the bottleneck table and, if
+/// `options.trace.export_path` is set, the Perfetto trace.json is written
+/// there (tracing a whole grid would be enormous; see
+/// Experiment::trace_point). A serve point passes `options` whole to
+/// serve::Server, which refuses a trace or an active energy meter.
 struct SweepPoint {
   std::string name;  ///< unique label, copied into Report::point
   SocConfig config;
   Workload workload;
-  bool functional = false;
-  std::uint64_t seed = 1;
-  std::shared_ptr<const lowering::PlacementPolicy> placement{};
-  std::shared_ptr<const lowering::TilingPolicy> tiling{};
-  /// Cycle-level tracing for this point (disabled by default — tracing a
-  /// whole grid would be enormous; see Experiment::trace_point). When
-  /// enabled, the point's Report carries the bottleneck table and, if
-  /// `trace.export_path` is set, the Perfetto trace.json is written there.
-  /// A campaign traces its golden run.
-  trace::TraceConfig trace{};
-  /// Telemetry for this point: the metric registry (and, when
-  /// `sample_interval_cycles > 0`, the cycle-windowed sampler) rides every
-  /// run path — Session, serve::Server, llm decode — and lands in the
-  /// point's Report::metrics. Observational only; cheap enough to leave on
-  /// for a whole grid (merge with sim::merge_metrics afterwards).
-  metrics::MetricsConfig metrics{};
-  /// Energy metering for this point (src/energy/): when active, the
-  /// Session run paths (inference, multicore, llm decode and a campaign's
-  /// golden run) carry the command-level DRAM/SRAM/MAC energy meter and the
-  /// point's Report::energy section is filled. Observational only — golden
-  /// cycles are bit-identical with the meter attached. A serve point
-  /// rejects an active meter (its report aggregates many runs; energy
-  /// accounting there is out of scope).
-  energy::EnergyConfig energy{};
+  SessionOptions options{};
 };
 
 struct SweepOptions {
@@ -228,7 +208,6 @@ class Experiment {
 
   Experiment& model(Model m);
   Experiment& models(std::vector<Model> ms);
-  Experiment& geometries(std::vector<SpatialArrayGeometry> gs);
   /// Scratchpad capacities (accumulator capacity is left at base).
   Experiment& scratchpad_sizes(std::vector<std::uint64_t> bytes);
   Experiment& l2_sizes(std::vector<std::uint64_t> bytes);
@@ -243,11 +222,9 @@ class Experiment {
   /// Pre-built config variants (e.g. the Fig. 9 Base/BigSP/BigL2 trio);
   /// mutually exclusive with the per-axis setters above.
   Experiment& configs(std::vector<SocConfig> cfgs);
-  /// Lowering-policy grid axes (compose with every other axis, including
+  /// Tiling-policy grid axis (composes with every other axis, including
   /// explicit configs). Point labels use each policy's name(). An empty
-  /// vector (the default) leaves the pipeline on the paper's heuristics.
-  Experiment& placement_policies(
-      std::vector<std::shared_ptr<const lowering::PlacementPolicy>> ps);
+  /// vector (the default) leaves the pipeline on the paper's heuristic.
   Experiment& tiling_policies(
       std::vector<std::shared_ptr<const lowering::TilingPolicy>> ts);
 
@@ -270,7 +247,7 @@ class Experiment {
   /// LLM decode workload (src/llm/): every point runs the autoregressive
   /// decode WorkStream built from this base config instead of a graph-IR
   /// inference; the proxy model supplies point labels. Composes with every
-  /// config axis (DRAM channels/schedulers, geometry, ...); mutually
+  /// config axis (DRAM channels/schedulers, L2 size, ...); mutually
   /// exclusive with model()/models(), serve() and fault_campaign().
   Experiment& llm(llm::DecodeConfig base);
   /// LLM axes (require llm()): one grid column per value, overriding the
@@ -278,8 +255,6 @@ class Experiment {
   /// encodes batch ("b4"), decode steps ("t8"), layout and int4.
   Experiment& llm_batches(std::vector<unsigned> batches);
   Experiment& llm_kv_layouts(std::vector<llm::KvLayout> layouts);
-  Experiment& llm_decode_steps(std::vector<std::uint64_t> steps);
-  Experiment& llm_int4(std::vector<bool> int4);
   /// Serving axis: one grid column per offered load (requests per
   /// megacycle), overriding the ServeSpec's arrival rate. Labels encode
   /// the value ("load2.5"). Requires serve().
@@ -288,9 +263,6 @@ class Experiment {
   /// ServeSpec's scheduler. Labels use ServeConfig::label() ("fifo",
   /// "edf", "batch4"). Requires serve().
   Experiment& serve_policies(std::vector<serve::ServeConfig> policies);
-  /// Forwarded into SweepOptions::strict by run().
-  Experiment& strict(bool on = true);
-
   Experiment& multicore(bool on = true);
   Experiment& functional(bool on = true);
   Experiment& seed(std::uint64_t s);
@@ -304,11 +276,12 @@ class Experiment {
                               trace::TraceConfig::enabled_default());
 
   /// Telemetry for *every* sweep point (unlike trace_point, metrics are
-  /// cheap enough to leave on grid-wide); see SweepPoint::metrics.
+  /// cheap enough to leave on grid-wide; merge the grid with
+  /// sim::merge_metrics); see SessionOptions::metrics.
   Experiment& metrics(metrics::MetricsConfig cfg =
                           metrics::MetricsConfig::enabled_default());
 
-  /// Energy metering for *every* sweep point; see SweepPoint::energy.
+  /// Energy metering for *every* sweep point; see SessionOptions::energy.
   /// Required by search() when the objective or the power budget needs
   /// energy numbers.
   Experiment& energy(energy::EnergyConfig cfg =
@@ -330,7 +303,6 @@ class Experiment {
  private:
   SocConfig base_;
   std::vector<Model> models_;
-  std::vector<SpatialArrayGeometry> geometries_;
   std::vector<std::uint64_t> sp_sizes_;
   std::vector<std::uint64_t> l2_sizes_;
   std::vector<unsigned> core_counts_;
@@ -338,8 +310,6 @@ class Experiment {
   std::vector<DramScheduler> dram_schedulers_;
   std::vector<DramInterleave> dram_interleaves_;
   std::vector<SocConfig> explicit_configs_;
-  std::vector<std::shared_ptr<const lowering::PlacementPolicy>>
-      placement_policies_;
   std::vector<std::shared_ptr<const lowering::TilingPolicy>> tiling_policies_;
   std::vector<fault::FaultConfig> fault_configs_;
   std::optional<serve::ServeSpec> serve_spec_;
@@ -348,17 +318,11 @@ class Experiment {
   std::optional<llm::DecodeConfig> llm_base_;
   std::vector<unsigned> llm_batches_;
   std::vector<llm::KvLayout> llm_layouts_;
-  std::vector<std::uint64_t> llm_steps_;
-  std::vector<bool> llm_int4_;
   unsigned campaign_runs_ = 0;
-  bool strict_ = false;
   bool multicore_ = false;
-  bool functional_ = false;
-  std::uint64_t seed_ = 1;
+  /// Every point's options; `trace` goes to the trace_point only.
+  SessionOptions options_{};
   std::string trace_point_name_;
-  trace::TraceConfig trace_cfg_{};
-  metrics::MetricsConfig metrics_cfg_{};
-  energy::EnergyConfig energy_cfg_{};
 };
 
 }  // namespace gemmini::sim

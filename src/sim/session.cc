@@ -4,8 +4,10 @@
 #include <map>
 
 #include "src/codegen/header_gen.h"
+#include "src/estimate/area_model.h"
+#include "src/estimate/power_model.h"
+#include "src/estimate/timing_model.h"
 #include "src/metrics/openmetrics.h"
-#include "src/model/lowering/pipeline.h"
 #include "src/trace/perfetto.h"
 
 namespace gemmini::sim {
@@ -40,43 +42,30 @@ Session Session::Builder::build() const {
     throw ConfigError("sim::Session '" + cfg_.name +
                       "': invalid configuration: " + e.what());
   }
-  return Session(cfg_, functional_, seed_, placement_, tiling_, trace_,
-                 metrics_, energy_);
+  return Session(cfg_, opts_);
 }
 
-Session::Session(const SocConfig& cfg, bool functional, std::uint64_t seed,
-                 std::shared_ptr<const lowering::PlacementPolicy> placement,
-                 std::shared_ptr<const lowering::TilingPolicy> tiling,
-                 const trace::TraceConfig& trace_cfg,
-                 const metrics::MetricsConfig& metrics_cfg,
-                 const energy::EnergyConfig& energy_cfg)
-    : functional_(functional),
-      seed_(seed),
-      placement_(placement
-                     ? std::move(placement)
-                     : std::make_shared<const lowering::DefaultPlacement>()),
-      tiling_(tiling ? std::move(tiling)
-                     : std::make_shared<const lowering::HeuristicTiling>()),
-      trace_cfg_(trace_cfg) {
-  if (trace_cfg_.enabled) {
-    tracer_ = std::make_unique<trace::Tracer>(trace_cfg_.buffer_events);
+Session::Session(const SocConfig& cfg, SessionOptions opts)
+    : opts_(std::move(opts)) {
+  if (opts_.trace.enabled) {
+    tracer_ = std::make_unique<trace::Tracer>(opts_.trace.buffer_events);
   }
-  if (metrics_cfg.enabled) {
-    metrics_ = std::make_unique<metrics::Metrics>(metrics_cfg);
+  if (opts_.metrics.enabled) {
+    metrics_ = std::make_unique<metrics::Metrics>(opts_.metrics);
   }
-  if (energy_cfg.active()) {
-    const energy::EnergyPrices& p = energy_cfg.prices;
+  if (opts_.energy.active()) {
+    const energy::EnergyPrices& p = opts_.energy.prices;
     const double static_mw =
         p.static_mw > 0
             ? p.static_mw
             : (p.static_from_model ? PowerModel{}.accelerator_mw(cfg.accel)
                                    : 0.0);
-    meter_ = std::make_unique<energy::EnergyMeter>(energy_cfg, static_mw,
+    meter_ = std::make_unique<energy::EnergyMeter>(opts_.energy, static_mw,
                                                    cfg.accel.clock_ghz);
   }
   soc_ = std::make_unique<Soc>(cfg, tracer_.get(), metrics_.get(),
                                meter_.get());
-  soc_->set_functional(functional_);
+  soc_->set_functional(opts_.functional);
 }
 
 const trace::Tracer& Session::trace_buffer() const {
@@ -168,27 +157,29 @@ trace::BottleneckReport Session::bottlenecks(unsigned core) const {
 Session& Session::with_policy(
     std::shared_ptr<const lowering::PlacementPolicy> p) {
   GEMMINI_CHECK_MSG(p != nullptr, "with_policy: null placement policy");
-  placement_ = std::move(p);
+  opts_.placement = std::move(p);
   return *this;
 }
 
 Session& Session::with_policy(
     std::shared_ptr<const lowering::TilingPolicy> t) {
   GEMMINI_CHECK_MSG(t != nullptr, "with_policy: null tiling policy");
-  tiling_ = std::move(t);
+  opts_.tiling = std::move(t);
   return *this;
 }
 
-Estimates Session::estimates() const {
+Estimates estimate(const SocConfig& cfg) {
+  const TimingModel timing;
   Estimates e;
-  e.area = area_model_.breakdown(config().accel,
-                                 config().cpu.cpu_class == CpuClass::kBoom);
-  e.fmax_ghz =
-      timing_model_.fmax_ghz(config().accel.array, config().accel.dtype);
-  e.power_mw = power_model_.accelerator_mw(config().accel);
-  e.meets_timing = timing_model_.meets_timing(config().accel);
+  e.area =
+      AreaModel{}.breakdown(cfg.accel, cfg.cpu.cpu_class == CpuClass::kBoom);
+  e.fmax_ghz = timing.fmax_ghz(cfg.accel.array, cfg.accel.dtype);
+  e.power_mw = PowerModel{}.accelerator_mw(cfg.accel);
+  e.meets_timing = timing.meets_timing(cfg.accel);
   return e;
 }
+
+Estimates Session::estimates() const { return estimate(config()); }
 
 std::string Session::params_header() const {
   return generate_params_header(config().accel);
@@ -412,13 +403,8 @@ Plan Session::build_plan(const Model& model, unsigned core) {
                        std::to_string(core) + " on a " +
                        std::to_string(config().cores) + "-core SoC");
   }
-  lowering::PipelineOptions opts;
-  opts.functional = functional_;
-  opts.seed = seed_;
-  opts.placement = placement_;
-  opts.tiling = tiling_;
   Plan p = lowering::build_plan(model, config().accel,
-                                soc_->address_space(core), opts);
+                                soc_->address_space(core), opts_);
   p.core = core;
   return p;
 }

@@ -39,12 +39,9 @@
 #include <string>
 
 #include "src/energy/energy.h"
-#include "src/estimate/area_model.h"
-#include "src/estimate/power_model.h"
-#include "src/estimate/timing_model.h"
 #include "src/metrics/metrics.h"
 #include "src/model/graph.h"
-#include "src/model/lowering/policy.h"
+#include "src/model/lowering/pipeline.h"
 #include "src/model/runner.h"
 #include "src/sim/plan.h"
 #include "src/sim/report.h"
@@ -54,6 +51,39 @@
 #include "src/trace/trace.h"
 
 namespace gemmini::sim {
+
+/// Every session knob, declared once. The Builder, sweep points
+/// (SweepPoint::options), Experiment and serve::Server all carry this one
+/// value. The lowering base holds the compile-side knobs (functional,
+/// seed, placement, tiling); sweeps share its policy objects across worker
+/// threads, so policies must be deterministic and thread-safe under const
+/// access (every shipped policy is). The observers below are observational
+/// only: cycle counts are bit-identical with each on or off.
+struct SessionOptions : lowering::PipelineOptions {
+  /// Cycle-level trace recorder (src/trace/): every timed component records
+  /// structured events into a preallocated ring. Inspect through
+  /// trace_buffer()/trace_json()/bottlenecks() or the Report's bottleneck
+  /// table.
+  trace::TraceConfig trace{};
+  /// Metrics registry (src/metrics/): counters, gauges and histograms from
+  /// every timed component, plus cycle-windowed timelines when
+  /// `sample_interval_cycles > 0`. Lands in Report::metrics, the
+  /// openmetrics() text endpoint and Perfetto counter tracks.
+  metrics::MetricsConfig metrics{};
+  /// Command-level energy meter (src/energy/): DRAM ACT/PRE/RD/WR/REF + IO
+  /// prices on the controller's issue path, exec MAC / DMA byte / SRAM row
+  /// prices on the accelerator, static power from the estimate-layer power
+  /// model (or an explicit override), folded into Report::energy. An
+  /// all-zero price table gives a Report byte-identical to one without
+  /// energy. The meter prices the components' own counts, so it needs no
+  /// metrics registry; with `metrics` the "energy.*" counters (and the
+  /// power-over-time timeline) are published there too.
+  energy::EnergyConfig energy{};
+};
+
+/// Area / fmax / power / timing-closure estimates for one SoC config — a
+/// pure function of the config (no SoC is elaborated).
+Estimates estimate(const SocConfig& cfg);
 
 class Session {
  public:
@@ -90,62 +120,38 @@ class Session {
       cfg_.name = std::move(n);
       return *this;
     }
-    /// Functional mode: real int8 data flows through the simulated SoC and
-    /// lowering materializes weights/inputs. Timing-only mode (default)
-    /// moves only time.
+    /// Replaces every session option at once. The setters below each write
+    /// one SessionOptions field (documented there).
+    Builder& options(SessionOptions opts) {
+      opts_ = std::move(opts);
+      return *this;
+    }
     Builder& functional(bool on = true) {
-      functional_ = on;
+      opts_.functional = on;
       return *this;
     }
-    /// Seed for functional-mode weight/input initialization.
     Builder& seed(std::uint64_t s) {
-      seed_ = s;
+      opts_.seed = s;
       return *this;
     }
-    /// Placement policy for the lowering pipeline (default: the paper's
-    /// accelerator-first heuristic, lowering::DefaultPlacement).
     Builder& placement(std::shared_ptr<const lowering::PlacementPolicy> p) {
-      placement_ = std::move(p);
+      opts_.placement = std::move(p);
       return *this;
     }
-    /// Tiling policy for the lowering pipeline (default: the paper's greedy
-    /// heuristic, lowering::HeuristicTiling — golden cycle counts are
-    /// pinned against it).
     Builder& tiling(std::shared_ptr<const lowering::TilingPolicy> t) {
-      tiling_ = std::move(t);
+      opts_.tiling = std::move(t);
       return *this;
     }
-    /// Attaches the cycle-level trace recorder (src/trace/): every timed
-    /// component records structured events into a preallocated ring buffer.
-    /// Tracing is observational only — cycle counts are bit-identical on
-    /// and off. Inspect via trace_buffer()/trace_json()/bottlenecks(), or
-    /// through the Report's bottleneck table.
     Builder& trace(trace::TraceConfig cfg) {
-      trace_ = std::move(cfg);
+      opts_.trace = std::move(cfg);
       return *this;
     }
-    /// Attaches the metrics registry (src/metrics/): counters, gauges and
-    /// histograms collected by every timed component, plus (when
-    /// `cfg.sample_interval_cycles > 0`) cycle-windowed timelines. Like
-    /// tracing, metrics are observational only — cycle counts are
-    /// bit-identical on and off. Results land in Report::metrics, the
-    /// openmetrics() text endpoint, and Perfetto counter tracks.
     Builder& metrics(metrics::MetricsConfig cfg) {
-      metrics_ = std::move(cfg);
+      opts_.metrics = std::move(cfg);
       return *this;
     }
-    /// Attaches the command-level energy meter (src/energy/): DRAM
-    /// ACT/PRE/RD/WR/REF + IO prices on the controller's issue path, exec
-    /// MAC / DMA byte / SRAM row prices on the accelerator, static power
-    /// from the estimate-layer power model (or an explicit override), all
-    /// folded into Report::energy. Observational only — cycle counts are
-    /// bit-identical on and off, and an all-zero price table produces a
-    /// Report byte-identical to a session built without energy. The meter
-    /// prices the components' own counts, so it needs no metrics registry;
-    /// with `.metrics()` the "energy.*" counters (and the power-over-time
-    /// timeline) are published there too.
     Builder& energy(energy::EnergyConfig cfg) {
-      energy_ = std::move(cfg);
+      opts_.energy = std::move(cfg);
       return *this;
     }
 
@@ -158,13 +164,7 @@ class Session {
 
    private:
     SocConfig cfg_{};
-    bool functional_ = false;
-    std::uint64_t seed_ = 1;
-    std::shared_ptr<const lowering::PlacementPolicy> placement_;
-    std::shared_ptr<const lowering::TilingPolicy> tiling_;
-    trace::TraceConfig trace_{};
-    metrics::MetricsConfig metrics_{};
-    energy::EnergyConfig energy_{};
+    SessionOptions opts_{};
   };
 
   static Builder builder() { return Builder{}; }
@@ -188,11 +188,6 @@ class Session {
   /// Returns *this so policies chain: session.with_policy(a).with_policy(b).
   Session& with_policy(std::shared_ptr<const lowering::PlacementPolicy> p);
   Session& with_policy(std::shared_ptr<const lowering::TilingPolicy> t);
-
-  const lowering::PlacementPolicy& placement_policy() const {
-    return *placement_;
-  }
-  const lowering::TilingPolicy& tiling_policy() const { return *tiling_; }
 
   // ---- Push-button runs ----------------------------------------------------
   /// Compiles (with the session's policies) and runs `model` on core 0.
@@ -223,8 +218,8 @@ class Session {
   // ---- Introspection -------------------------------------------------------
   /// The SoC's validated config is the single source of truth.
   const SocConfig& config() const { return soc_->config(); }
-  bool functional() const { return functional_; }
-  std::uint64_t seed() const { return seed_; }
+  bool functional() const { return opts_.functional; }
+  std::uint64_t seed() const { return opts_.seed; }
 
   /// Layout of the most recent run()'s core-0 lowering: buffer VAs for
   /// reading inputs/outputs back out of simulated memory in functional mode.
@@ -249,7 +244,6 @@ class Session {
   /// True iff the session was built with `.trace(...)` and an enabled
   /// config. The buffer holds the most recent run (run() clears it first).
   bool tracing() const { return tracer_ != nullptr; }
-  const trace::TraceConfig& trace_config() const { return trace_cfg_; }
   /// The recorder and its event ring. GEMMINI_CHECKs that tracing is on.
   const trace::Tracer& trace_buffer() const;
   /// The most recent run as a Perfetto-loadable trace.json (deterministic:
@@ -295,12 +289,7 @@ class Session {
   }
 
  private:
-  Session(const SocConfig& cfg, bool functional, std::uint64_t seed,
-          std::shared_ptr<const lowering::PlacementPolicy> placement,
-          std::shared_ptr<const lowering::TilingPolicy> tiling,
-          const trace::TraceConfig& trace_cfg,
-          const metrics::MetricsConfig& metrics_cfg,
-          const energy::EnergyConfig& energy_cfg);
+  Session(const SocConfig& cfg, SessionOptions opts);
 
   Plan build_plan(const Model& model, unsigned core);
   Report make_report(const Model& model,
@@ -315,11 +304,7 @@ class Session {
   void begin_run();
   trace::PerfettoOptions perfetto_options(int indent) const;
 
-  bool functional_ = false;
-  std::uint64_t seed_ = 1;
-  std::shared_ptr<const lowering::PlacementPolicy> placement_;
-  std::shared_ptr<const lowering::TilingPolicy> tiling_;
-  trace::TraceConfig trace_cfg_{};
+  SessionOptions opts_;
   // Heap-allocated so the Tracer pointer held by the SoC's components stays
   // stable across Session moves.
   std::unique_ptr<trace::Tracer> tracer_;
@@ -335,9 +320,6 @@ class Session {
   /// attribution — plan() overwrites it without touching the buffer.
   std::optional<Plan> traced_plan_;
   std::unique_ptr<Soc> soc_;
-  AreaModel area_model_;
-  TimingModel timing_model_;
-  PowerModel power_model_;
   LoweredModel last_lowered_;
   std::optional<Plan> last_plan_;
 };

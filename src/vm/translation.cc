@@ -11,7 +11,7 @@ TranslationSystem::TranslationSystem(const TranslationConfig& cfg,
       private_(cfg.private_tlb, "private_tlb", cfg.profile_window),
       ptw_(ptw),
       obs_(obs) {
-  if (cfg_.l2_tlb_present && cfg_.l2_tlb.entries > 0) {
+  if (cfg_.l2_tlb.entries > 0) {
     l2_.emplace(cfg_.l2_tlb, "l2_tlb", cfg_.profile_window);
   }
 }

@@ -23,7 +23,6 @@ struct TranslationConfig {
   TlbConfig private_tlb{.entries = 16, .ways = 0, .hit_latency = 4};
   /// Shared L2 TLB; `entries == 0` disables it (the Fig. 8 "0" column).
   TlbConfig l2_tlb{.entries = 512, .ways = 4, .hit_latency = 14};
-  bool l2_tlb_present = true;
   bool filter_registers = false;
   PtwConfig ptw{};
   Cycle profile_window = 100000;  ///< miss-rate series bucketing (Fig. 4)

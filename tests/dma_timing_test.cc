@@ -59,7 +59,7 @@ TEST(DmaTiming, TlbMissesAreBlocking) {
   // substantially faster — the miss cost is real, blocking time.
   GemminiConfig big_tlb = GemminiConfig::paper_default();
   big_tlb.translation.private_tlb.entries = 512;
-  big_tlb.translation.l2_tlb_present = false;
+  big_tlb.translation.l2_tlb.entries = 0;
   big_tlb.translation.ptw.pte_cache_entries = 0;  // make walks expensive
   AccelHarness h(big_tlb);
   h.accel.set_functional(false);
@@ -81,7 +81,7 @@ TEST(DmaTiming, TlbMissesAreBlocking) {
 TEST(DmaTiming, PteCacheShortensWalks) {
   GemminiConfig no_cache = GemminiConfig::paper_default();
   no_cache.translation.private_tlb.entries = 4;
-  no_cache.translation.l2_tlb_present = false;
+  no_cache.translation.l2_tlb.entries = 0;
   no_cache.translation.ptw.pte_cache_entries = 0;
   GemminiConfig cached = no_cache;
   cached.translation.ptw.pte_cache_entries = 8;

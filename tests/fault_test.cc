@@ -445,7 +445,7 @@ TEST(FaultCampaign, RequiresFunctionalSingleCore) {
   p.config.faults = ecc_single_bit();
   EXPECT_THROW(sim::Sweep::run_point(p), ConfigError);
 
-  p.functional = true;
+  p.options.functional = true;
   p.config.faults.enabled = false;
   EXPECT_THROW(sim::Sweep::run_point(p), ConfigError);
 }

@@ -108,31 +108,32 @@ TEST(MetricsRegistry, ResetKeepsHandlesValid) {
 }
 
 TEST(MetricsRegistry, MergeIsOrderIndependent) {
+  // sim::merge_metrics is the one merge of metrics sections.
   auto make = [](std::uint64_t c, double g, std::uint64_t hv) {
-    metrics::Registry r;
-    r.counter("c").add(c);
-    r.gauge("g").set(g);
-    r.histogram("h").record(hv);
+    metrics::Metrics m(metrics::MetricsConfig::enabled_default());
+    m.registry().counter("c").add(c);
+    m.registry().gauge("g").set(g);
+    m.registry().histogram("h").record(hv);
+    sim::Report r;
+    r.metrics = sim::snapshot_metrics(m);
     return r;
   };
-  metrics::Registry a = make(10, 2.0, 4);
-  metrics::Registry b = make(32, 5.0, 70);
-
-  metrics::Registry ab = make(10, 2.0, 4);
-  ab.merge_from(b);
-  metrics::Registry ba = make(32, 5.0, 70);
-  ba.merge_from(a);
+  const sim::Report a = make(10, 2.0, 4);
+  const sim::Report b = make(32, 5.0, 70);
+  const sim::MetricsReport ab = sim::merge_metrics({a, b});
+  const sim::MetricsReport ba = sim::merge_metrics({b, a});
 
   // Counters and histograms add; gauges take the max — all commutative.
-  for (metrics::Registry* m : {&ab, &ba}) {
-    EXPECT_EQ(m->counter("c").value(), 42u);
-    EXPECT_DOUBLE_EQ(m->gauge("g").value(), 5.0);
-    EXPECT_EQ(m->histogram("h").count(), 2u);
-    EXPECT_EQ(m->histogram("h").sum(), 74u);
-    EXPECT_EQ(m->histogram("h").min(), 4u);
-    EXPECT_EQ(m->histogram("h").max(), 70u);
+  for (const sim::MetricsReport* m : {&ab, &ba}) {
+    EXPECT_EQ(m->counters.at("c"), 42u);
+    EXPECT_DOUBLE_EQ(m->gauges.at("g"), 5.0);
+    const sim::HistogramReport& h = m->histograms.at("h");
+    EXPECT_EQ(h.count, 2u);
+    EXPECT_EQ(h.sum, 74u);
+    EXPECT_EQ(h.min, 4u);
+    EXPECT_EQ(h.max, 70u);
   }
-  EXPECT_EQ(metrics::to_openmetrics(ab), metrics::to_openmetrics(ba));
+  EXPECT_EQ(sim::metrics_to_json(ab), sim::metrics_to_json(ba));
 }
 
 // ---- Sampler: windows, zero-padding, reconciliation ------------------------

@@ -256,7 +256,7 @@ TEST(PaperFindings, Fig4TlbMissRateOverResnet50) {
   SocConfig cfg = SocConfig::base_1mb_l2();
   cfg.accel.has_im2col = true;
   cfg.accel.translation.private_tlb.entries = 8;
-  cfg.accel.translation.l2_tlb_present = false;
+  cfg.accel.translation.l2_tlb.entries = 0;
   cfg.accel.translation.profile_window = 250000;
   sim::Session session = sim::Session::builder(cfg).build();
   session.run(zoo::resnet50(224));
@@ -347,8 +347,7 @@ TEST(PaperFindings, Fig8TlbSizingForResnet50) {
         SocConfig cfg = SocConfig::base_1mb_l2();
         cfg.accel.has_im2col = true;
         cfg.accel.translation.private_tlb.entries = priv;
-        cfg.accel.translation.l2_tlb_present = shared > 0;
-        if (shared > 0) cfg.accel.translation.l2_tlb.entries = shared;
+        cfg.accel.translation.l2_tlb.entries = shared;
         cfg.accel.translation.filter_registers = filters;
         sweep.add(key(filters, priv, shared), cfg, model);
       }

@@ -340,7 +340,7 @@ TEST(Experiment, TilingPoliciesExpandAsGridAxis) {
   EXPECT_EQ(sweep.points()[0].name, "sp128K-heuristic/squeezenet_v1.1");
   EXPECT_EQ(sweep.points()[1].name, "sp128K-exhaustive/squeezenet_v1.1");
   EXPECT_EQ(sweep.points()[3].name, "sp256K-exhaustive/squeezenet_v1.1");
-  EXPECT_NE(sweep.points()[1].tiling, nullptr);
+  EXPECT_NE(sweep.points()[1].options.tiling, nullptr);
 }
 
 TEST(Experiment, PolicySweepIsParallelDeterministic) {

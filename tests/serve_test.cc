@@ -642,6 +642,28 @@ TEST(ServeSweep, MulticoreTraceAndEnergyAreRefused) {
   }
 }
 
+TEST(ServeSweep, DirectServerRefusesTraceAndEnergy) {
+  // The Server constructor is the one gate: a direct Server refuses what a
+  // serve sweep point does, with the same message.
+  serve::ServeSpec spec;
+  spec.classes = {{"tiny", tiny_model(), 1.0, 0}};
+  serve::ServerOptions traced;
+  traced.trace.enabled = true;
+  serve::ServerOptions metered;
+  metered.energy = energy::EnergyConfig::enabled_default();
+  for (const serve::ServerOptions& opts : {traced, metered}) {
+    try {
+      serve::Server(SocConfig{}, spec, opts);
+      FAIL() << "the Server should refuse a trace or an energy meter";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'tiny'"), std::string::npos) << what;
+      EXPECT_NE(what.find("ServeSpec::trace_missed"), std::string::npos)
+          << what;
+    }
+  }
+}
+
 // ---- DRAM queue-depth reuse -------------------------------------------------
 
 TEST(DramQueueDepth, SurfacesTimeWeightedStats) {

@@ -78,7 +78,7 @@ TEST(SocFunctional, ResultIndependentOfTilingAndMemory) {
   small.accel.sp_capacity_bytes = 32 * 1024;
   small.accel.acc_capacity_bytes = 8 * 1024;
   small.accel.translation.private_tlb.entries = 4;
-  small.accel.translation.l2_tlb_present = false;
+  small.accel.translation.l2_tlb.entries = 0;
   small.mem.l2.size_bytes = 64 * 1024;
   EXPECT_EQ(run_functional(small, m, 9), base);
 
@@ -179,7 +179,7 @@ TEST(SocTiming, FilterRegistersNeverHurt) {
   const Model m = tiny_cnn();
   SocConfig plain;
   plain.accel.translation.private_tlb.entries = 4;
-  plain.accel.translation.l2_tlb_present = false;
+  plain.accel.translation.l2_tlb.entries = 0;
   Soc s1(plain);
   const LoweredModel l1 =
       lowering::compile(m, plain.accel, plain.cpu, s1.address_space(0));

@@ -335,7 +335,7 @@ TEST(RequestorStats, PtwShowsUpAsRequestor100) {
   // Shrink the TLBs so walks definitely hit memory.
   SocConfig cfg = test_config();
   cfg.accel.translation.private_tlb.entries = 2;
-  cfg.accel.translation.l2_tlb_present = false;
+  cfg.accel.translation.l2_tlb.entries = 0;
   sim::Session s = sim::Session::builder(cfg).build();
   const sim::Report r = s.run(zoo::squeezenet_v11(48));
   bool saw_ptw = false;

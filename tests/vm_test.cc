@@ -148,8 +148,7 @@ struct TranslationFixture : VmFixture {
                          bool filters) {
     TranslationConfig cfg;
     cfg.private_tlb.entries = priv_entries;
-    cfg.l2_tlb.entries = l2_entries == 0 ? 1 : l2_entries;
-    cfg.l2_tlb_present = l2_entries > 0;
+    cfg.l2_tlb.entries = l2_entries;
     cfg.filter_registers = filters;
     return TranslationSystem(cfg, ptw);
   }
