@@ -1,6 +1,7 @@
 #include "src/sim/report.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "src/sim/json_writer.h"
 
@@ -10,622 +11,342 @@ namespace {
 
 using detail::JsonWriter;
 
-void write_tags(JsonWriter& w, const std::map<std::string, Cycle>& tags) {
-  w.begin_object();
-  for (const auto& [tag, cycles] : tags) {
-    w.key(tag.c_str());
-    w.value(cycles);
-  }
-  w.end_object();
+// Field lists: each names its struct's serialized members once, in JSON
+// order, which for Report and ReliabilityReport is not member order.
+// AccelReport::tiles is left out: the core<N>.exec.tiles counter exports it.
+
+template <typename F> void fields(const AccelReport& a, F&& f) {
+  f("finish", a.finish);
+  f("instructions", a.instructions);
+  f("macs", a.macs);
+  f("load_busy", a.load_busy);
+  f("exec_busy", a.exec_busy);
+  f("store_busy", a.store_busy);
 }
 
-void write_core(JsonWriter& w, const CoreReport& c) {
-  w.begin_object();
-  w.key("core");
-  w.value(c.core);
-  w.key("cycles");
-  w.value(c.cycles);
-  w.key("cpu_cycles");
-  w.value(c.cpu_cycles);
-  w.key("cycles_by_tag");
-  write_tags(w, c.cycles_by_tag);
-  w.key("accel");
-  w.begin_object();
-  w.key("finish");
-  w.value(c.accel.finish);
-  w.key("instructions");
-  w.value(c.accel.instructions);
-  w.key("macs");
-  w.value(c.accel.macs);
-  w.key("load_busy");
-  w.value(c.accel.load_busy);
-  w.key("exec_busy");
-  w.value(c.accel.exec_busy);
-  w.key("store_busy");
-  w.value(c.accel.store_busy);
-  w.end_object();
-  w.key("array_utilization");
-  w.value(c.array_utilization);
-  w.key("private_tlb_hit_rate");
-  w.value(c.private_tlb_hit_rate);
-  w.key("effective_private_tlb_hit_rate");
-  w.value(c.effective_private_tlb_hit_rate);
-  w.end_object();
+template <typename F> void fields(const CoreReport& c, F&& f) {
+  f("core", c.core);
+  f("cycles", c.cycles);
+  f("cpu_cycles", c.cpu_cycles);
+  f("cycles_by_tag", c.cycles_by_tag);
+  f("accel", c.accel);
+  f("array_utilization", c.array_utilization);
+  f("private_tlb_hit_rate", c.private_tlb_hit_rate);
+  f("effective_private_tlb_hit_rate", c.effective_private_tlb_hit_rate);
 }
 
-void write_requestor(JsonWriter& w, const RequestorTraffic& rq) {
-  w.begin_object();
-  w.key("requestor");
-  w.value(static_cast<std::uint64_t>(rq.requestor));
-  w.key("sysbus_bytes");
-  w.value(rq.sysbus_bytes);
-  w.key("sysbus_wait_cycles");
-  w.value(rq.sysbus_wait_cycles);
-  w.key("membus_bytes");
-  w.value(rq.membus_bytes);
-  w.key("membus_wait_cycles");
-  w.value(rq.membus_wait_cycles);
-  w.key("dram_bytes");
-  w.value(rq.dram_bytes);
-  w.key("dram_row_hits");
-  w.value(rq.dram_row_hits);
-  w.key("dram_row_misses");
-  w.value(rq.dram_row_misses);
-  w.key("dram_channel_bytes");
-  w.begin_array();
-  for (const std::uint64_t b : rq.dram_channel_bytes) w.value(b);
-  w.end_array();
-  w.end_object();
+template <typename F> void fields(const AreaBreakdown& a, F&& f) {
+  f("spatial_array", a.spatial_array_um2);
+  f("scratchpad", a.scratchpad_um2);
+  f("accumulator", a.accumulator_um2);
+  f("peripherals", a.peripherals_um2);
+  f("uncore", a.uncore_um2);
+  f("host_cpu", a.host_cpu_um2);
+  f("total", a.total_um2);
 }
 
-void write_dram_channel(JsonWriter& w, const DramChannelTraffic& ch) {
-  w.begin_object();
-  w.key("channel");
-  w.value(ch.channel);
-  w.key("accesses");
-  w.value(ch.accesses);
-  w.key("bytes");
-  w.value(ch.bytes);
-  w.key("row_hits");
-  w.value(ch.row_hits);
-  w.key("row_misses");
-  w.value(ch.row_misses);
-  w.key("refresh_stall_cycles");
-  w.value(ch.refresh_stall_cycles);
-  w.key("queue_wait_cycles");
-  w.value(ch.queue_wait_cycles);
-  w.key("write_drains");
-  w.value(ch.write_drains);
-  w.key("writes_buffered");
-  w.value(ch.writes_buffered);
-  w.key("avg_queue_depth");
-  w.value(ch.avg_queue_depth);
-  w.key("max_queue_depth");
-  w.value(ch.max_queue_depth);
-  w.end_object();
+template <typename F> void fields(const Estimates& e, F&& f) {
+  f("area_um2", e.area);
+  f("fmax_ghz", e.fmax_ghz);
+  f("power_mw", e.power_mw);
+  f("meets_timing", e.meets_timing);
 }
 
-void write_latency_block(JsonWriter& w, Cycle p50, Cycle p95, Cycle p99,
-                         Cycle p999, Cycle max_latency, double mean_latency) {
-  w.key("p50");
-  w.value(p50);
-  w.key("p95");
-  w.value(p95);
-  w.key("p99");
-  w.value(p99);
-  w.key("p999");
-  w.value(p999);
-  w.key("max_latency");
-  w.value(max_latency);
-  w.key("mean_latency");
-  w.value(mean_latency);
+template <typename F> void fields(const RequestorTraffic& r, F&& f) {
+  f("requestor", r.requestor);
+  f("sysbus_bytes", r.sysbus_bytes);
+  f("sysbus_wait_cycles", r.sysbus_wait_cycles);
+  f("membus_bytes", r.membus_bytes);
+  f("membus_wait_cycles", r.membus_wait_cycles);
+  f("dram_bytes", r.dram_bytes);
+  f("dram_row_hits", r.dram_row_hits);
+  f("dram_row_misses", r.dram_row_misses);
+  f("dram_channel_bytes", r.dram_channel_bytes);
 }
 
-void write_serve_class(JsonWriter& w, const ServeClassStats& c) {
-  w.begin_object();
-  w.key("name");
-  w.value(c.name);
-  w.key("offered");
-  w.value(c.offered);
-  w.key("shed");
-  w.value(c.shed);
-  w.key("completed");
-  w.value(c.completed);
-  w.key("errors");
-  w.value(c.errors);
-  w.key("deadline_misses");
-  w.value(c.deadline_misses);
-  write_latency_block(w, c.p50, c.p95, c.p99, c.p999, c.max_latency,
-                      c.mean_latency);
-  w.key("tokens");
-  w.value(c.tokens);
-  w.key("p50_per_token");
-  w.value(c.p50_per_token);
-  w.key("p95_per_token");
-  w.value(c.p95_per_token);
-  w.key("p99_per_token");
-  w.value(c.p99_per_token);
-  w.key("mean_per_token");
-  w.value(c.mean_per_token);
-  w.end_object();
+template <typename F> void fields(const DramChannelTraffic& c, F&& f) {
+  f("channel", c.channel);
+  f("accesses", c.accesses);
+  f("bytes", c.bytes);
+  f("row_hits", c.row_hits);
+  f("row_misses", c.row_misses);
+  f("refresh_stall_cycles", c.refresh_stall_cycles);
+  f("queue_wait_cycles", c.queue_wait_cycles);
+  f("write_drains", c.write_drains);
+  f("writes_buffered", c.writes_buffered);
+  f("avg_queue_depth", c.avg_queue_depth);
+  f("max_queue_depth", c.max_queue_depth);
 }
 
-void write_bottleneck(JsonWriter& w, const trace::LayerBottleneck& l);
-
-void write_request_span(JsonWriter& w, const RequestSpan& sp) {
-  w.begin_object();
-  w.key("id");
-  w.value(sp.id);
-  w.key("class");
-  w.value(static_cast<std::uint64_t>(sp.cls));
-  w.key("arrival");
-  w.value(sp.arrival);
-  w.key("dispatch");
-  w.value(sp.dispatch);
-  w.key("complete");
-  w.value(sp.complete);
-  w.key("core");
-  w.value(static_cast<std::uint64_t>(sp.core));
-  w.key("preemptions");
-  w.value(static_cast<std::uint64_t>(sp.preemptions));
-  w.key("shed");
-  w.value(sp.shed);
-  w.key("ok");
-  w.value(sp.ok);
-  w.key("deadline_miss");
-  w.value(sp.deadline_miss);
-  w.end_object();
+template <typename F> void fields(const SubstrateStats& s, F&& f) {
+  f("l2_miss_rate", s.l2_miss_rate);
+  f("l2_hits", s.l2_hits);
+  f("l2_misses", s.l2_misses);
+  f("dram_row_hit_rate", s.dram_row_hit_rate);
+  f("per_requestor", s.per_requestor);
+  f("dram_channels", s.dram_channels);
 }
 
-void write_server(JsonWriter& w, const ServerStats& s) {
-  w.begin_object();
-  w.key("enabled");
-  w.value(s.enabled);
-  w.key("policy");
-  w.value(s.policy);
-  w.key("arrival");
-  w.value(s.arrival);
-  w.key("offered_per_mcycle");
-  w.value(s.offered_per_mcycle);
-  w.key("offered");
-  w.value(s.offered);
-  w.key("admitted");
-  w.value(s.admitted);
-  w.key("shed");
-  w.value(s.shed);
-  w.key("completed");
-  w.value(s.completed);
-  w.key("errors");
-  w.value(s.errors);
-  w.key("deadline_misses");
-  w.value(s.deadline_misses);
-  w.key("good");
-  w.value(s.good);
-  w.key("goodput_per_mcycle");
-  w.value(s.goodput_per_mcycle);
-  w.key("preemptions");
-  w.value(s.preemptions);
-  w.key("context_switches");
-  w.value(s.context_switches);
-  w.key("batches");
-  w.value(s.batches);
-  w.key("makespan");
-  w.value(s.makespan);
-  w.key("tokens");
-  w.value(s.tokens);
-  write_latency_block(w, s.p50, s.p95, s.p99, s.p999, s.max_latency,
-                      s.mean_latency);
-  w.key("avg_queue_depth");
-  w.value(s.avg_queue_depth);
-  w.key("max_queue_depth");
-  w.value(s.max_queue_depth);
-  w.key("per_class");
-  w.begin_array();
-  for (const ServeClassStats& c : s.per_class) write_serve_class(w, c);
-  w.end_array();
-  w.key("miss_bottlenecks");
-  w.begin_array();
-  for (const trace::LayerBottleneck& l : s.miss_bottlenecks) {
-    write_bottleneck(w, l);
-  }
-  w.end_array();
-  w.key("spans");
-  w.begin_array();
-  for (const RequestSpan& sp : s.spans) write_request_span(w, sp);
-  w.end_array();
-  w.end_object();
+template <typename F> void fields(const fault::FaultStats& s, F&& f) {
+  f("dram_read_flips", s.dram_read_flips);
+  f("ecc_corrected", s.ecc_corrected);
+  f("ecc_detected_uncorrectable", s.ecc_detected_uncorrectable);
+  f("silent_flips", s.silent_flips);
+  f("ecc_correction_cycles", s.ecc_correction_cycles);
+  f("sp_flips", s.sp_flips);
+  f("acc_flips", s.acc_flips);
+  f("translation_faults", s.translation_faults);
+  f("translation_fault_cycles", s.translation_fault_cycles);
+  f("dma_timeouts", s.dma_timeouts);
+  f("dma_retries", s.dma_retries);
+  f("dma_retry_cycles", s.dma_retry_cycles);
+  f("dma_aborts", s.dma_aborts);
+  f("exec_tile_errors", s.exec_tile_errors);
 }
 
-void write_metrics(JsonWriter& w, const MetricsReport& m) {
-  w.begin_object();
-  w.key("enabled");
-  w.value(m.enabled);
-  w.key("sample_interval");
-  w.value(m.sample_interval);
-  w.key("windows");
-  w.value(m.windows);
-  w.key("counters");
-  w.begin_object();
-  for (const auto& [name, v] : m.counters) {
-    w.key(name.c_str());
+template <typename F> void fields(const ReliabilityReport& r, F&& f) {
+  f("enabled", r.enabled);
+  f("seed", r.seed);
+  f("campaign_runs", r.campaign_runs);
+  f("masked", r.masked);
+  f("corrected", r.corrected);
+  f("detected", r.detected);
+  f("sdc", r.sdc);
+  f("sdc_rate", r.sdc_rate);
+  f("detection_rate", r.detection_rate);
+  f("golden_cycles", r.golden_cycles);
+  f("run_outcomes", r.run_outcomes);
+  f("injection", r.injection);
+}
+
+template <typename F> void fields(const LayerIntensity& l, F&& f) {
+  f("name", l.name);
+  f("macs", l.macs);
+  f("dram_bytes", l.dram_bytes);
+  f("macs_per_byte", l.macs_per_byte);
+}
+
+template <typename F> void fields(const LlmStats& l, F&& f) {
+  f("enabled", l.enabled);
+  f("kv_layout", l.kv_layout);
+  f("batch", l.batch);
+  f("layers", l.layers);
+  f("heads", l.heads);
+  f("hidden", l.hidden);
+  f("prompt_tokens", l.prompt_tokens);
+  f("decode_steps", l.decode_steps);
+  f("tokens", l.tokens);
+  f("prefill_cycles", l.prefill_cycles);
+  f("decode_cycles", l.decode_cycles);
+  f("cycles_per_token", l.cycles_per_token);
+  f("kv_cache_bytes", l.kv_cache_bytes);
+  f("weight_bytes", l.weight_bytes);
+  f("int4_weights", l.int4_weights);
+}
+
+template <typename F> void fields(const trace::LayerBottleneck& l, F&& f) {
+  f("layer", l.layer);
+  f("name", l.name);
+  f("kind", l.kind);
+  f("tag", l.tag);
+  f("span", l.span);
+  f("cpu", l.cpu);
+  f("compute", l.compute);
+  f("translation", l.translation);
+  f("dram", l.dram);
+  f("bus_wait", l.bus_wait);
+  f("dma", l.dma);
+  f("other", l.other);
+  f("macs", l.macs);
+  f("dma_bytes", l.dma_bytes);
+  f("measured_macs_per_cycle", l.measured_macs_per_cycle);
+  f("attainable_macs_per_cycle", l.attainable_macs_per_cycle);
+  f("memory_bound", l.memory_bound);
+}
+
+template <typename F> void fields(const ServeClassStats& c, F&& f) {
+  f("name", c.name);
+  f("offered", c.offered);
+  f("shed", c.shed);
+  f("completed", c.completed);
+  f("errors", c.errors);
+  f("deadline_misses", c.deadline_misses);
+  f("p50", c.p50);
+  f("p95", c.p95);
+  f("p99", c.p99);
+  f("p999", c.p999);
+  f("max_latency", c.max_latency);
+  f("mean_latency", c.mean_latency);
+  f("tokens", c.tokens);
+  f("p50_per_token", c.p50_per_token);
+  f("p95_per_token", c.p95_per_token);
+  f("p99_per_token", c.p99_per_token);
+  f("mean_per_token", c.mean_per_token);
+}
+
+template <typename F> void fields(const RequestSpan& s, F&& f) {
+  f("id", s.id);
+  f("class", s.cls);
+  f("arrival", s.arrival);
+  f("dispatch", s.dispatch);
+  f("complete", s.complete);
+  f("core", s.core);
+  f("preemptions", s.preemptions);
+  f("shed", s.shed);
+  f("ok", s.ok);
+  f("deadline_miss", s.deadline_miss);
+}
+
+template <typename F> void fields(const ServerStats& s, F&& f) {
+  f("enabled", s.enabled);
+  f("policy", s.policy);
+  f("arrival", s.arrival);
+  f("offered_per_mcycle", s.offered_per_mcycle);
+  f("offered", s.offered);
+  f("admitted", s.admitted);
+  f("shed", s.shed);
+  f("completed", s.completed);
+  f("errors", s.errors);
+  f("deadline_misses", s.deadline_misses);
+  f("good", s.good);
+  f("goodput_per_mcycle", s.goodput_per_mcycle);
+  f("preemptions", s.preemptions);
+  f("context_switches", s.context_switches);
+  f("batches", s.batches);
+  f("makespan", s.makespan);
+  f("tokens", s.tokens);
+  f("p50", s.p50);
+  f("p95", s.p95);
+  f("p99", s.p99);
+  f("p999", s.p999);
+  f("max_latency", s.max_latency);
+  f("mean_latency", s.mean_latency);
+  f("avg_queue_depth", s.avg_queue_depth);
+  f("max_queue_depth", s.max_queue_depth);
+  f("per_class", s.per_class);
+  f("miss_bottlenecks", s.miss_bottlenecks);
+  f("spans", s.spans);
+}
+
+template <typename F> void fields(const HistogramReport& h, F&& f) {
+  f("count", h.count);
+  f("sum", h.sum);
+  f("min", h.min);
+  f("max", h.max);
+  f("buckets", h.buckets);
+}
+
+template <typename F> void fields(const MetricsReport& m, F&& f) {
+  f("enabled", m.enabled);
+  f("sample_interval", m.sample_interval);
+  f("windows", m.windows);
+  f("counters", m.counters);
+  f("gauges", m.gauges);
+  f("histograms", m.histograms);
+  f("counter_timelines", m.counter_timelines);
+  f("gauge_timelines", m.gauge_timelines);
+}
+
+template <typename F> void fields(const EnergyReport& e, F&& f) {
+  f("enabled", e.enabled);
+  f("dram_act_fj", e.dram_act_fj);
+  f("dram_pre_fj", e.dram_pre_fj);
+  f("dram_rd_fj", e.dram_rd_fj);
+  f("dram_wr_fj", e.dram_wr_fj);
+  f("dram_ref_fj", e.dram_ref_fj);
+  f("dram_io_fj", e.dram_io_fj);
+  f("dram_fj", e.dram_fj);
+  f("dram_channel_fj", e.dram_channel_fj);
+  f("exec_fj", e.exec_fj);
+  f("dma_fj", e.dma_fj);
+  f("sp_fj", e.sp_fj);
+  f("acc_fj", e.acc_fj);
+  f("core_fj", e.core_fj);
+  f("static_fj", e.static_fj);
+  f("total_fj", e.total_fj);
+  f("total_j", e.total_j);
+  f("avg_power_watts", e.avg_power_watts);
+  f("edp_joule_seconds", e.edp_joule_seconds);
+  f("energy_per_token_pj", e.energy_per_token_pj);
+  f("sample_interval", e.sample_interval);
+  f("window_fj", e.window_fj);
+  f("window_watts", e.window_watts);
+}
+
+template <typename F> void fields(const Report& r, F&& f) {
+  f("point", r.point);
+  f("status", r.status);
+  f("error", r.error);
+  f("config", r.config);
+  f("model", r.model);
+  f("cores", r.cores);
+  f("cycles", r.cycles);
+  f("seconds", r.seconds);
+  f("fps", r.fps);
+  f("cpu_baseline", r.cpu_baseline);
+  f("speedup", r.speedup);
+  f("array_utilization", r.array_utilization);
+  f("cycles_by_tag", r.cycles_by_tag);
+  f("layer_intensity", r.layer_intensity);
+  f("per_core", r.per_core);
+  f("substrate", r.substrate);
+  f("bottlenecks", r.bottlenecks);
+  f("trace_dropped_events", r.trace_dropped_events);
+  f("reliability", r.reliability);
+  f("llm", r.llm);
+  f("server", r.server);
+  f("metrics", r.metrics);
+  f("energy", r.energy);
+  f("estimates", r.estimates);
+}
+
+// Scalars as JsonWriter formats them (every integer as uint64_t), maps as
+// objects in key order, vectors as arrays, structs as their field list.
+template <typename T>
+void write(JsonWriter& w, const T& v) {
+  if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double> ||
+                std::is_same_v<T, std::string>) {
     w.value(v);
-  }
-  w.end_object();
-  w.key("gauges");
-  w.begin_object();
-  for (const auto& [name, v] : m.gauges) {
-    w.key(name.c_str());
-    w.value(v);
-  }
-  w.end_object();
-  w.key("histograms");
-  w.begin_object();
-  for (const auto& [name, h] : m.histograms) {
-    w.key(name.c_str());
+  } else if constexpr (std::is_integral_v<T>) {
+    w.value(static_cast<std::uint64_t>(v));
+  } else if constexpr (requires { typename T::mapped_type; }) {
     w.begin_object();
-    w.key("count");
-    w.value(h.count);
-    w.key("sum");
-    w.value(h.sum);
-    w.key("min");
-    w.value(h.min);
-    w.key("max");
-    w.value(h.max);
-    w.key("buckets");
+    for (const auto& [key, e] : v) {
+      w.key(key.c_str());
+      write(w, e);
+    }
+    w.end_object();
+  } else if constexpr (requires { typename T::value_type; }) {
     w.begin_array();
-    for (const std::uint64_t b : h.buckets) w.value(b);
+    for (const auto& e : v) write(w, e);
     w.end_array();
+  } else {
+    w.begin_object();
+    fields(v, [&w](const char* key, const auto& field) {
+      w.key(key);
+      write(w, field);
+    });
     w.end_object();
   }
-  w.end_object();
-  w.key("counter_timelines");
-  w.begin_object();
-  for (const auto& [name, tl] : m.counter_timelines) {
-    w.key(name.c_str());
-    w.begin_array();
-    for (const std::uint64_t v : tl) w.value(v);
-    w.end_array();
-  }
-  w.end_object();
-  w.key("gauge_timelines");
-  w.begin_object();
-  for (const auto& [name, tl] : m.gauge_timelines) {
-    w.key(name.c_str());
-    w.begin_array();
-    for (const double v : tl) w.value(v);
-    w.end_array();
-  }
-  w.end_object();
-  w.end_object();
-}
-
-void write_bottleneck(JsonWriter& w, const trace::LayerBottleneck& l) {
-  w.begin_object();
-  w.key("layer");
-  w.value(static_cast<std::uint64_t>(l.layer));
-  w.key("name");
-  w.value(l.name);
-  w.key("kind");
-  w.value(l.kind);
-  w.key("tag");
-  w.value(l.tag);
-  w.key("span");
-  w.value(l.span);
-  w.key("cpu");
-  w.value(l.cpu);
-  w.key("compute");
-  w.value(l.compute);
-  w.key("translation");
-  w.value(l.translation);
-  w.key("dram");
-  w.value(l.dram);
-  w.key("bus_wait");
-  w.value(l.bus_wait);
-  w.key("dma");
-  w.value(l.dma);
-  w.key("other");
-  w.value(l.other);
-  w.key("macs");
-  w.value(l.macs);
-  w.key("dma_bytes");
-  w.value(l.dma_bytes);
-  w.key("measured_macs_per_cycle");
-  w.value(l.measured_macs_per_cycle);
-  w.key("attainable_macs_per_cycle");
-  w.value(l.attainable_macs_per_cycle);
-  w.key("memory_bound");
-  w.value(l.memory_bound);
-  w.end_object();
-}
-
-void write_layer_intensity(JsonWriter& w, const LayerIntensity& li) {
-  w.begin_object();
-  w.key("name");
-  w.value(li.name);
-  w.key("macs");
-  w.value(li.macs);
-  w.key("dram_bytes");
-  w.value(li.dram_bytes);
-  w.key("macs_per_byte");
-  w.value(li.macs_per_byte);
-  w.end_object();
-}
-
-void write_llm(JsonWriter& w, const LlmStats& l) {
-  w.begin_object();
-  w.key("enabled");
-  w.value(l.enabled);
-  w.key("kv_layout");
-  w.value(l.kv_layout);
-  w.key("batch");
-  w.value(l.batch);
-  w.key("layers");
-  w.value(l.layers);
-  w.key("heads");
-  w.value(l.heads);
-  w.key("hidden");
-  w.value(l.hidden);
-  w.key("prompt_tokens");
-  w.value(l.prompt_tokens);
-  w.key("decode_steps");
-  w.value(l.decode_steps);
-  w.key("tokens");
-  w.value(l.tokens);
-  w.key("prefill_cycles");
-  w.value(l.prefill_cycles);
-  w.key("decode_cycles");
-  w.value(l.decode_cycles);
-  w.key("cycles_per_token");
-  w.value(l.cycles_per_token);
-  w.key("kv_cache_bytes");
-  w.value(l.kv_cache_bytes);
-  w.key("weight_bytes");
-  w.value(l.weight_bytes);
-  w.key("int4_weights");
-  w.value(l.int4_weights);
-  w.end_object();
-}
-
-void write_reliability(JsonWriter& w, const ReliabilityReport& rel) {
-  w.begin_object();
-  w.key("enabled");
-  w.value(rel.enabled);
-  w.key("seed");
-  w.value(rel.seed);
-  w.key("campaign_runs");
-  w.value(rel.campaign_runs);
-  w.key("masked");
-  w.value(rel.masked);
-  w.key("corrected");
-  w.value(rel.corrected);
-  w.key("detected");
-  w.value(rel.detected);
-  w.key("sdc");
-  w.value(rel.sdc);
-  w.key("sdc_rate");
-  w.value(rel.sdc_rate);
-  w.key("detection_rate");
-  w.value(rel.detection_rate);
-  w.key("golden_cycles");
-  w.value(rel.golden_cycles);
-  w.key("run_outcomes");
-  w.begin_array();
-  for (const std::string& o : rel.run_outcomes) w.value(o);
-  w.end_array();
-  w.key("injection");
-  w.begin_object();
-  w.key("dram_read_flips");
-  w.value(rel.injection.dram_read_flips);
-  w.key("ecc_corrected");
-  w.value(rel.injection.ecc_corrected);
-  w.key("ecc_detected_uncorrectable");
-  w.value(rel.injection.ecc_detected_uncorrectable);
-  w.key("silent_flips");
-  w.value(rel.injection.silent_flips);
-  w.key("ecc_correction_cycles");
-  w.value(rel.injection.ecc_correction_cycles);
-  w.key("sp_flips");
-  w.value(rel.injection.sp_flips);
-  w.key("acc_flips");
-  w.value(rel.injection.acc_flips);
-  w.key("translation_faults");
-  w.value(rel.injection.translation_faults);
-  w.key("translation_fault_cycles");
-  w.value(rel.injection.translation_fault_cycles);
-  w.key("dma_timeouts");
-  w.value(rel.injection.dma_timeouts);
-  w.key("dma_retries");
-  w.value(rel.injection.dma_retries);
-  w.key("dma_retry_cycles");
-  w.value(rel.injection.dma_retry_cycles);
-  w.key("dma_aborts");
-  w.value(rel.injection.dma_aborts);
-  w.key("exec_tile_errors");
-  w.value(rel.injection.exec_tile_errors);
-  w.end_object();
-  w.end_object();
-}
-
-void write_energy(JsonWriter& w, const EnergyReport& e) {
-  w.begin_object();
-  w.key("enabled");
-  w.value(e.enabled);
-  w.key("dram_act_fj");
-  w.value(e.dram_act_fj);
-  w.key("dram_pre_fj");
-  w.value(e.dram_pre_fj);
-  w.key("dram_rd_fj");
-  w.value(e.dram_rd_fj);
-  w.key("dram_wr_fj");
-  w.value(e.dram_wr_fj);
-  w.key("dram_ref_fj");
-  w.value(e.dram_ref_fj);
-  w.key("dram_io_fj");
-  w.value(e.dram_io_fj);
-  w.key("dram_fj");
-  w.value(e.dram_fj);
-  w.key("dram_channel_fj");
-  w.begin_array();
-  for (std::uint64_t v : e.dram_channel_fj) w.value(v);
-  w.end_array();
-  w.key("exec_fj");
-  w.value(e.exec_fj);
-  w.key("dma_fj");
-  w.value(e.dma_fj);
-  w.key("sp_fj");
-  w.value(e.sp_fj);
-  w.key("acc_fj");
-  w.value(e.acc_fj);
-  w.key("core_fj");
-  w.begin_array();
-  for (std::uint64_t v : e.core_fj) w.value(v);
-  w.end_array();
-  w.key("static_fj");
-  w.value(e.static_fj);
-  w.key("total_fj");
-  w.value(e.total_fj);
-  w.key("total_j");
-  w.value(e.total_j);
-  w.key("avg_power_watts");
-  w.value(e.avg_power_watts);
-  w.key("edp_joule_seconds");
-  w.value(e.edp_joule_seconds);
-  w.key("energy_per_token_pj");
-  w.value(e.energy_per_token_pj);
-  w.key("sample_interval");
-  w.value(e.sample_interval);
-  w.key("window_fj");
-  w.begin_array();
-  for (std::uint64_t v : e.window_fj) w.value(v);
-  w.end_array();
-  w.key("window_watts");
-  w.begin_array();
-  for (double v : e.window_watts) w.value(v);
-  w.end_array();
-  w.end_object();
-}
-
-void write_report(JsonWriter& w, const Report& r) {
-  w.begin_object();
-  w.key("point");
-  w.value(r.point);
-  w.key("status");
-  w.value(r.status);
-  w.key("error");
-  w.value(r.error);
-  w.key("config");
-  w.value(r.config);
-  w.key("model");
-  w.value(r.model);
-  w.key("cores");
-  w.value(r.cores);
-  w.key("cycles");
-  w.value(r.cycles);
-  w.key("seconds");
-  w.value(r.seconds);
-  w.key("fps");
-  w.value(r.fps);
-  w.key("cpu_baseline");
-  w.value(r.cpu_baseline);
-  w.key("speedup");
-  w.value(r.speedup);
-  w.key("array_utilization");
-  w.value(r.array_utilization);
-  w.key("cycles_by_tag");
-  write_tags(w, r.cycles_by_tag);
-  w.key("layer_intensity");
-  w.begin_array();
-  for (const LayerIntensity& li : r.layer_intensity) {
-    write_layer_intensity(w, li);
-  }
-  w.end_array();
-  w.key("per_core");
-  w.begin_array();
-  for (const CoreReport& c : r.per_core) write_core(w, c);
-  w.end_array();
-  w.key("substrate");
-  w.begin_object();
-  w.key("l2_miss_rate");
-  w.value(r.substrate.l2_miss_rate);
-  w.key("l2_hits");
-  w.value(r.substrate.l2_hits);
-  w.key("l2_misses");
-  w.value(r.substrate.l2_misses);
-  w.key("dram_row_hit_rate");
-  w.value(r.substrate.dram_row_hit_rate);
-  w.key("per_requestor");
-  w.begin_array();
-  for (const RequestorTraffic& rq : r.substrate.per_requestor) {
-    write_requestor(w, rq);
-  }
-  w.end_array();
-  w.key("dram_channels");
-  w.begin_array();
-  for (const DramChannelTraffic& ch : r.substrate.dram_channels) {
-    write_dram_channel(w, ch);
-  }
-  w.end_array();
-  w.end_object();
-  w.key("bottlenecks");
-  w.begin_array();
-  for (const trace::LayerBottleneck& l : r.bottlenecks) {
-    write_bottleneck(w, l);
-  }
-  w.end_array();
-  w.key("trace_dropped_events");
-  w.value(r.trace_dropped_events);
-  w.key("reliability");
-  write_reliability(w, r.reliability);
-  w.key("llm");
-  write_llm(w, r.llm);
-  w.key("server");
-  write_server(w, r.server);
-  w.key("metrics");
-  write_metrics(w, r.metrics);
-  w.key("energy");
-  write_energy(w, r.energy);
-  w.key("estimates");
-  w.begin_object();
-  w.key("area_um2");
-  w.begin_object();
-  w.key("spatial_array");
-  w.value(r.estimates.area.spatial_array_um2);
-  w.key("scratchpad");
-  w.value(r.estimates.area.scratchpad_um2);
-  w.key("accumulator");
-  w.value(r.estimates.area.accumulator_um2);
-  w.key("peripherals");
-  w.value(r.estimates.area.peripherals_um2);
-  w.key("uncore");
-  w.value(r.estimates.area.uncore_um2);
-  w.key("host_cpu");
-  w.value(r.estimates.area.host_cpu_um2);
-  w.key("total");
-  w.value(r.estimates.area.total_um2);
-  w.end_object();
-  w.key("fmax_ghz");
-  w.value(r.estimates.fmax_ghz);
-  w.key("power_mw");
-  w.value(r.estimates.power_mw);
-  w.key("meets_timing");
-  w.value(r.estimates.meets_timing);
-  w.end_object();
-  w.end_object();
 }
 
 }  // namespace
 
 std::string Report::to_json(int indent) const {
   JsonWriter w(indent);
-  write_report(w, *this);
+  write(w, *this);
   return w.str();
 }
 
 std::string reports_to_json(const std::vector<Report>& reports, int indent) {
   JsonWriter w(indent);
-  w.begin_array();
-  for (const Report& r : reports) write_report(w, r);
-  w.end_array();
+  write(w, reports);
+  return w.str();
+}
+
+std::string metrics_to_json(const MetricsReport& m, int indent) {
+  JsonWriter w(indent);
+  write(w, m);
   return w.str();
 }
 
@@ -654,12 +375,6 @@ MetricsReport snapshot_metrics(const metrics::Metrics& m) {
     out.gauge_timelines[name] = gs;
   }
   return out;
-}
-
-std::string metrics_to_json(const MetricsReport& m, int indent) {
-  JsonWriter w(indent);
-  write_metrics(w, m);
-  return w.str();
 }
 
 MetricsReport merge_metrics(const std::vector<Report>& reports) {

@@ -1,22 +1,20 @@
 #pragma once
-// sim::Report — the one result shape of the unified simulation facade.
-//
-// Before the facade, callers juggled three result structs (`RunReport` from
-// the generator, `CoreResult` from the SoC, `AccelReport` from the
-// accelerator) plus three separately-queried estimate models. A Report folds
-// all of them into a single structured record:
+// sim::Report — the one result shape of the unified simulation facade:
 //
 //   * headline numbers (cycles, seconds, FPS, CPU-baseline speedup),
 //   * the per-layer-tag cycle breakdown (the Fig. 9 accounting),
 //   * one CoreReport per core (per-core tags, accelerator counters, TLB
 //     rates),
 //   * substrate statistics of the shared memory system (L2 miss rate),
-//   * the synthesis-substitute estimates (area / fmax / power).
+//   * the synthesis-substitute estimates (area / fmax / power),
+//   * and the optional LLM, bottleneck, reliability, serving, metrics and
+//     energy sections.
 //
 // Reports compare bitwise (`operator==` is defaulted member-wise) and
 // serialize to deterministic JSON — two properties the parallel-sweep driver
 // leans on: a sweep is correct iff its reports are byte-identical to the
-// serial run's.
+// serial run's. The JSON comes from one field list per struct in report.cc,
+// so a new field is a member here plus one line in its struct's list there.
 
 #include <cstdint>
 #include <map>

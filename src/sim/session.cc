@@ -154,20 +154,6 @@ trace::BottleneckReport Session::bottlenecks(unsigned core) const {
                                       tracer_->dropped());
 }
 
-Session& Session::with_policy(
-    std::shared_ptr<const lowering::PlacementPolicy> p) {
-  GEMMINI_CHECK_MSG(p != nullptr, "with_policy: null placement policy");
-  opts_.placement = std::move(p);
-  return *this;
-}
-
-Session& Session::with_policy(
-    std::shared_ptr<const lowering::TilingPolicy> t) {
-  GEMMINI_CHECK_MSG(t != nullptr, "with_policy: null tiling policy");
-  opts_.tiling = std::move(t);
-  return *this;
-}
-
 Estimates estimate(const SocConfig& cfg) {
   const TimingModel timing;
   Estimates e;

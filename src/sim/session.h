@@ -22,9 +22,9 @@
 // the staged lowering pipeline (placement -> tiling -> allocation, see
 // src/model/lowering/) under the session's pluggable policies and returns
 // the `sim::Plan` compile record — inspect it, dump it as JSON, mutate it
-// (set_tile), then `run(plan)`. `with_policy(...)` (or the builder's
-// `placement()`/`tiling()`) swaps the paper's heuristics for alternatives
-// such as `lowering::ExhaustiveTiling`.
+// (set_tile), then `run(plan)`. The builder's `placement()`/`tiling()` swap
+// the paper's heuristics for alternatives such as
+// `lowering::ExhaustiveTiling`.
 //
 // Low-level work (hand-emitted programs, raw accelerator access) still goes
 // through the same session — `address_space()` / `accelerator()` / `soc()`
@@ -183,11 +183,6 @@ class Session {
   /// RuntimeError if `core` is out of range; plans for cores other than 0
   /// are inspection records (run(Plan) executes core-0 plans only).
   Plan plan(const Model& model, unsigned core = 0);
-
-  /// Swaps a lowering policy; affects subsequent plan()/run() calls.
-  /// Returns *this so policies chain: session.with_policy(a).with_policy(b).
-  Session& with_policy(std::shared_ptr<const lowering::PlacementPolicy> p);
-  Session& with_policy(std::shared_ptr<const lowering::TilingPolicy> t);
 
   // ---- Push-button runs ----------------------------------------------------
   /// Compiles (with the session's policies) and runs `model` on core 0.

@@ -268,8 +268,8 @@ TEST(TilingPolicies, ManualPolicyFlowsThroughSession) {
 
   auto manual = std::make_shared<lowering::ManualTiling>();
   manual->set(victim, TileShape{1, 1, 1});
-  sim::Session session = sim::Session::builder(test_config()).build();
-  session.with_policy(std::shared_ptr<const lowering::TilingPolicy>(manual));
+  sim::Session session =
+      sim::Session::builder(test_config()).tiling(manual).build();
   const sim::Plan plan = session.plan(m);
   EXPECT_EQ(plan.tiling_policy, "manual");
   EXPECT_EQ(plan.layers[victim].matmul.tile, (TileShape{1, 1, 1}));
