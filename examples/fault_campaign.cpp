@@ -47,17 +47,17 @@ int main() {
   ecc_off.dram_read_flip_rate = 0.2;
   ecc_off.dram_flip_bits = 4;
 
-  // `fault::FaultConfig{}` (disabled) is the fault-free baseline column; the
-  // campaign reruns only the armed columns. Campaigns need functional
-  // single-core points so the output can be diffed against the golden run.
+  // `fault::FaultConfig{}` (disabled) is the fault-free baseline column,
+  // where the Campaign runs once as a plain inference; only the armed
+  // columns rerun. Campaigns need functional points so the output can be
+  // diffed against the golden run.
   SocConfig base;
   base.accel.has_im2col = true;
   const auto reports =
       sim::Experiment(base)
-          .model(workload)
           .functional()
           .fault_configs({baseline, ecc_on, ecc_off})
-          .fault_campaign(8)
+          .workload(sim::Campaign{workload, 8})
           .run({.threads = 2});
 
   std::printf("%-28s %-10s %-7s %-7s %-9s %-9s %-5s %-9s\n", "column",

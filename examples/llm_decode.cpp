@@ -40,15 +40,19 @@ int main() {
   soc.mem.dram.refresh_interval = 7800;
   soc.mem.dram.refresh_latency = 280;
 
-  const std::vector<sim::Report> reports =
-      sim::Experiment(soc)
-          .llm(base)
-          .llm_batches({1, 8})
-          .llm_kv_layouts({llm::KvLayout::kHeadMajor,
-                           llm::KvLayout::kTokenMajor})
-          .dram_channels({1, 2, 4})
-          .dram_schedulers({DramScheduler::kFcfs, DramScheduler::kFrFcfs})
-          .run();
+  sim::Experiment ex(soc);
+  ex.dram_channels({1, 2, 4})
+      .dram_schedulers({DramScheduler::kFcfs, DramScheduler::kFrFcfs});
+  for (const unsigned batch : {1u, 8u}) {
+    for (const llm::KvLayout layout :
+         {llm::KvLayout::kHeadMajor, llm::KvLayout::kTokenMajor}) {
+      llm::DecodeConfig c = base;
+      c.batch = batch;
+      c.kv_layout = layout;
+      ex.workload(sim::Decode{c});
+    }
+  }
+  const std::vector<sim::Report> reports = ex.run();
 
   std::printf("%-44s %-8s %-12s %-10s %-12s\n", "point", "tokens",
               "cyc/token", "row-hit", "decode-cyc");

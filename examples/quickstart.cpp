@@ -34,8 +34,9 @@ int main() {
   //    geometry, CPU cost model, memory system, OS noise) and elaborates a
   //    single-core SoC. `functional()` makes real int8 data flow through
   //    the simulated memory hierarchy instead of just time.
-  sim::Session session =
-      sim::Session::builder().accel(cfg).functional().build();
+  SocConfig soc;
+  soc.accel = cfg;
+  sim::Session session = sim::Session::builder(soc).functional().build();
   AddressSpace& as = session.address_space();
 
   // The shared memory substrate under it: a cycle-driven DRAM controller

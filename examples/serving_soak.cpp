@@ -43,16 +43,21 @@ int main() {
   spec.arrivals.horizon_cycles = 60 * cold;
   spec.arrivals.seed = 21;
   spec.scheduler.admission_capacity = 32;
-  spec.default_deadline_cycles = 4 * cold;  // the SLO: 4x solo latency
 
   // Part 1: the soak — offered load from 10% to 300% of capacity under the
-  // default FIFO policy, one sweep column per load.
+  // default FIFO policy, one sweep column per load. One request class: the
+  // model itself, with an SLO of 4x its solo latency.
+  serve::ServeSpec soak_spec = spec;
+  soak_spec.classes.push_back(
+      serve::RequestClass{model.name(), model, 1.0, 4 * cold});
   std::vector<double> loads;
+  sim::Experiment soak_grid(cfg);
   for (const double frac : {0.1, 0.5, 0.9, 1.2, 2.0, 3.0}) {
     loads.push_back(frac * capacity);
+    soak_spec.arrivals.requests_per_mcycle = loads.back();
+    soak_grid.workload(sim::Serve{soak_spec});
   }
-  const std::vector<sim::Report> soak =
-      sim::Experiment(cfg).model(model).serve(spec).offered_loads(loads).run();
+  const std::vector<sim::Report> soak = soak_grid.run();
 
   std::printf("%-10s %10s %12s %12s %12s %8s %6s %6s\n", "load/cap",
               "offered", "p50(cyc)", "p99(cyc)", "p99.9(cyc)", "goodput",
@@ -73,10 +78,10 @@ int main() {
   // class makes EDF degenerate to FIFO (deadline = arrival + constant), so
   // blend an interactive class with a tight SLO against a throughput class
   // with none — now EDF spends the overload on the winnable deadlines and
-  // batching groups the throughput class. The policy axis replaces the
-  // spec's scheduler wholesale, so each column carries its own admission
-  // bound.
+  // batching groups the throughput class. Each column replaces the spec's
+  // scheduler wholesale, so each carries its own admission bound.
   serve::ServeSpec mix = spec;
+  mix.arrivals.requests_per_mcycle = 2.0 * capacity;
   mix.classes.push_back(
       serve::RequestClass{"interactive", model, 3.0, 2 * cold});
   mix.classes.push_back(serve::RequestClass{"bulk", model, 1.0, 0});
@@ -90,13 +95,12 @@ int main() {
   std::printf("\npolicies at 2x capacity (interactive deadline %llu "
               "cycles, 3:1 mix with deadline-free bulk):\n",
               static_cast<unsigned long long>(2 * cold));
-  const std::vector<sim::Report> duel =
-      sim::Experiment(cfg)
-          .model(model)
-          .serve(mix)
-          .offered_loads({2.0 * capacity})
-          .serve_policies({fifo, edf, batch})
-          .run();
+  sim::Experiment duel_grid(cfg);
+  for (const serve::ServeConfig& policy : {fifo, edf, batch}) {
+    mix.scheduler = policy;
+    duel_grid.workload(sim::Serve{mix});
+  }
+  const std::vector<sim::Report> duel = duel_grid.run();
   std::printf("%-10s %12s %12s %8s %6s %6s %8s\n", "policy", "p50(cyc)",
               "p99(cyc)", "goodput", "shed", "miss", "switches");
   for (const sim::Report& r : duel) {

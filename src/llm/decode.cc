@@ -451,24 +451,6 @@ DecodeWorkload build_decode_workload(const DecodeConfig& cfg,
   return WorkloadBuilder(cfg, accel, cpu, as, seed, functional).build();
 }
 
-Model proxy_model(const DecodeConfig& cfg) {
-  // One decode step's shape, expressed in the graph IR: dense chains with
-  // the same widths, softmax/layernorm as the CPU-resident specials. Used
-  // for serve calibration (cold ~ prefill-ish first run, warm ~ per-token
-  // rerun) and as the sweep's Model handle.
-  ModelBuilder b(cfg.label());
-  b.input_matrix(cfg.batch, cfg.hidden);
-  for (unsigned l = 0; l < cfg.layers; ++l) {
-    b.dense(cfg.hidden, Activation::kNone, -1, cfg.int4_weights);
-    b.softmax();
-    b.dense(cfg.hidden, Activation::kNone, -1, cfg.int4_weights);
-    b.layernorm();
-    b.dense(cfg.ffn_dim(), Activation::kRelu, -1, cfg.int4_weights);
-    b.dense(cfg.hidden, Activation::kNone, -1, cfg.int4_weights);
-  }
-  return b.build();
-}
-
 sim::Report run_decode(sim::Session& session, const DecodeConfig& cfg) {
   cfg.validate();
   DecodeWorkload w = build_decode_workload(

@@ -38,7 +38,6 @@
 #include "src/arch/config.h"
 #include "src/base/types.h"
 #include "src/cpu/cost_model.h"
-#include "src/model/graph.h"
 #include "src/runtime/workstream.h"
 #include "src/sim/report.h"
 #include "src/vm/page_table.h"
@@ -109,11 +108,6 @@ DecodeWorkload build_decode_workload(const DecodeConfig& cfg,
                                      const GemminiConfig& accel,
                                      const CpuCostModel& cpu, AddressSpace& as,
                                      std::uint64_t seed, bool functional);
-
-/// A graph-IR stand-in with roughly one decode step's per-layer cost —
-/// gives Experiment and the serving layer a Model handle (labels, CPU
-/// baseline, calibration) for workloads that never lower through the IR.
-Model proxy_model(const DecodeConfig& cfg);
 
 /// End-to-end: build the workload in `session`'s address space, run it, and
 /// return a Report with llm stats, per-layer arithmetic intensity and the

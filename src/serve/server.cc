@@ -15,6 +15,8 @@ namespace gemmini::serve {
 void ServeSpec::validate() const {
   arrivals.validate();
   scheduler.validate();
+  GEMMINI_CONFIG_REQUIRE(!classes.empty(),
+                         "serve::ServeSpec: at least one request class");
   for (const RequestClass& c : classes) {
     GEMMINI_CONFIG_REQUIRE(!c.model.layers().empty(),
                            "serve::ServeSpec: class '" << c.name
@@ -102,11 +104,6 @@ double Server::contention_factor(const Calibration& cal, unsigned busy) const {
 }
 
 sim::Report Server::run() {
-  GEMMINI_CONFIG_REQUIRE(!spec_.classes.empty(),
-                         "serve::Server: at least one request class (direct "
-                         "users populate ServeSpec::classes; Experiment fills "
-                         "it from the sweep point's model)");
-
   ArrivalProcess proc(spec_.arrivals, spec_.classes);
   const std::vector<Request> requests = proc.generate();
 

@@ -70,12 +70,9 @@ struct ServeSpec {
   /// only until benchmark/workloads.cc stops setting it.
   bool enabled = false;
   ArrivalConfig arrivals{};
-  /// Request classes. Experiment fills a single class from the point's
-  /// model when this is empty; direct Server users must populate it.
+  /// Request classes; at least one.
   std::vector<RequestClass> classes;
   ServeConfig scheduler{};
-  /// Deadline for classes added implicitly by Experiment (0 = no SLO).
-  Cycle default_deadline_cycles = 0;
   /// Re-run the first deadline-missing request's class through a traced
   /// session and attach the bottleneck attribution to the report
   /// (ServerStats::miss_bottlenecks).

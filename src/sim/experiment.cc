@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <tuple>
 #include <type_traits>
@@ -136,20 +137,26 @@ struct Overloaded : Fs... {
 template <typename... Fs>
 Overloaded(Fs...) -> Overloaded<Fs...>;
 
-/// The fail-soft stand-in for a point whose run threw: the labels (`model`
-/// as a successful run would report it) and the exception message survive
-/// in the point's report slot, the rest stays default-initialized.
+/// A workload's own label: the Report's `model` as a run of it reports it,
+/// and an Experiment column's name.
+std::string workload_label(const Workload& w) {
+  return std::visit(
+      Overloaded{[](const Decode& d) { return d.config.label(); },
+                 [](const Serve& sv) { return sv.spec.label(); },
+                 [](const auto& m) { return m.model.name(); }},
+      w);
+}
+
+/// The fail-soft stand-in for a point whose run threw: the labels and the
+/// exception message survive in the point's report slot, the rest stays
+/// default-initialized.
 Report error_report(const SweepPoint& point, std::string message) {
   Report rep;
   rep.point = point.name;
   rep.status = "error";
   rep.error = std::move(message);
   rep.config = point.config.name;
-  rep.model = std::visit(
-      Overloaded{[](const Decode& w) { return w.config.label(); },
-                 [](const Serve& w) { return w.spec.label(); },
-                 [](const auto& w) { return w.model.name(); }},
-      point.workload);
+  rep.model = workload_label(point.workload);
   return rep;
 }
 
@@ -247,12 +254,15 @@ void append_label(std::string& label, const std::string& part) {
 
 Experiment::Experiment(SocConfig base) : base_(std::move(base)) {}
 
-Experiment& Experiment::model(Model m) {
-  models_.push_back(std::move(m));
+Experiment& Experiment::workload(Workload w) {
+  workloads_.push_back(std::move(w));
   return *this;
 }
+Experiment& Experiment::model(Model m) {
+  return workload(Inference{std::move(m)});
+}
 Experiment& Experiment::models(std::vector<Model> ms) {
-  for (Model& m : ms) models_.push_back(std::move(m));
+  for (Model& m : ms) model(std::move(m));
   return *this;
 }
 Experiment& Experiment::scratchpad_sizes(std::vector<std::uint64_t> bytes) {
@@ -293,38 +303,6 @@ Experiment& Experiment::fault_configs(std::vector<fault::FaultConfig> fcs) {
   fault_configs_ = std::move(fcs);
   return *this;
 }
-Experiment& Experiment::fault_campaign(unsigned runs) {
-  campaign_runs_ = runs;
-  return *this;
-}
-Experiment& Experiment::serve(serve::ServeSpec spec) {
-  serve_spec_ = std::move(spec);
-  return *this;
-}
-Experiment& Experiment::llm(llm::DecodeConfig base) {
-  llm_base_ = std::move(base);
-  return *this;
-}
-Experiment& Experiment::llm_batches(std::vector<unsigned> batches) {
-  llm_batches_ = std::move(batches);
-  return *this;
-}
-Experiment& Experiment::llm_kv_layouts(std::vector<llm::KvLayout> layouts) {
-  llm_layouts_ = std::move(layouts);
-  return *this;
-}
-Experiment& Experiment::offered_loads(std::vector<double> loads) {
-  offered_loads_ = std::move(loads);
-  return *this;
-}
-Experiment& Experiment::serve_policies(std::vector<serve::ServeConfig> policies) {
-  serve_policies_ = std::move(policies);
-  return *this;
-}
-Experiment& Experiment::multicore(bool on) {
-  multicore_ = on;
-  return *this;
-}
 Experiment& Experiment::functional(bool on) {
   options_.functional = on;
   return *this;
@@ -352,43 +330,14 @@ Experiment& Experiment::energy(energy::EnergyConfig cfg) {
 }
 
 Sweep Experiment::sweep() const {
-  GEMMINI_CONFIG_REQUIRE(!models_.empty() || llm_base_.has_value(),
-                         "sim::Experiment: add at least one model (or llm())");
-  GEMMINI_CONFIG_REQUIRE(models_.empty() || !llm_base_.has_value(),
-                         "sim::Experiment: llm() replaces the model list; do "
-                         "not combine it with model()/models()");
-  GEMMINI_CONFIG_REQUIRE(
-      llm_base_.has_value() || (llm_batches_.empty() && llm_layouts_.empty()),
-      "sim::Experiment: llm_batches()/llm_kv_layouts() need llm()");
-  GEMMINI_CONFIG_REQUIRE(
-      !multicore_ || (!llm_base_ && !serve_spec_ && campaign_runs_ == 0),
-      "sim::Experiment: multicore() applies to inference points only (llm() "
-      "decodes on one core, serve() schedules requests across the cores "
-      "itself, and fault campaigns are single-core)");
-  GEMMINI_CONFIG_REQUIRE(!llm_base_ || (!serve_spec_ && campaign_runs_ == 0),
-                         "sim::Experiment: llm() excludes serve() and "
-                         "fault_campaign()");
+  GEMMINI_CONFIG_REQUIRE(!workloads_.empty(),
+                         "sim::Experiment: add at least one workload");
   GEMMINI_CONFIG_REQUIRE(
       explicit_configs_.empty() ||
           (sp_sizes_.empty() && l2_sizes_.empty() &&
            core_counts_.empty() && dram_channels_.empty() &&
            dram_schedulers_.empty() && dram_interleaves_.empty()),
       "sim::Experiment: configs() cannot be combined with per-axis setters");
-  GEMMINI_CONFIG_REQUIRE(campaign_runs_ == 0 || options_.functional,
-                         "sim::Experiment: fault_campaign() compares outputs, "
-                         "so it needs functional()");
-  GEMMINI_CONFIG_REQUIRE(campaign_runs_ == 0 || !serve_spec_,
-                         "sim::Experiment: fault_campaign() and serve() are "
-                         "mutually exclusive (serving runs classify faulty "
-                         "requests as error responses instead)");
-  GEMMINI_CONFIG_REQUIRE(
-      serve_spec_ || (offered_loads_.empty() && serve_policies_.empty()),
-      "sim::Experiment: offered_loads()/serve_policies() need serve()");
-  for (const double l : offered_loads_) {
-    GEMMINI_CONFIG_REQUIRE(l > 0, "sim::Experiment: offered_loads entries "
-                                  "must be > 0 requests/Mcycle (got "
-                                      << l << ")");
-  }
 
   // Expand the config grid one axis at a time, tagging each variant with
   // the axes that produced it.
@@ -465,61 +414,35 @@ Sweep Experiment::sweep() const {
       },
       fault_configs_.size());
 
-  // Workload columns: the llm decode grid (batch x layout around the llm()
-  // base config), or the serving grid (offered load x
-  // scheduler policy x model), or the model list; an unset axis keeps the
-  // base value. A column's `axes` extend the point's config label; its
-  // `name` (the model's, or the decode config's label) follows the "/".
+  // Workload columns, in call order. Serve columns extend the point's
+  // config label with the serving parameters that vary across them, the
+  // way config axes do; the workload's own label follows the "/".
+  std::set<double> rates;
+  std::set<std::string> schedulers;
+  for (const Workload& w : workloads_) {
+    if (const auto* sv = std::get_if<Serve>(&w)) {
+      rates.insert(sv->spec.arrivals.requests_per_mcycle);
+      schedulers.insert(sv->spec.scheduler.label());
+    }
+  }
   struct Column {
     std::string axes;
     std::string name;
-    Workload workload;
   };
   std::vector<Column> columns;
-  if (llm_base_.has_value()) {
-    for (const unsigned b : axis_or(llm_batches_, llm_base_->batch)) {
-      for (const llm::KvLayout layout :
-           axis_or(llm_layouts_, llm_base_->kv_layout)) {
-        llm::DecodeConfig c = *llm_base_;
-        c.batch = b;
-        c.kv_layout = layout;
-        c.validate();
-        columns.push_back({"", c.label(), Decode{std::move(c)}});
+  for (const Workload& w : workloads_) {
+    Column col{"", workload_label(w)};
+    if (const auto* sv = std::get_if<Serve>(&w)) {
+      if (rates.size() > 1) {
+        std::ostringstream oss;
+        oss << "load" << sv->spec.arrivals.requests_per_mcycle;
+        col.axes = oss.str();
+      }
+      if (schedulers.size() > 1) {
+        append_label(col.axes, sv->spec.scheduler.label());
       }
     }
-  } else if (serve_spec_) {
-    std::vector<std::pair<double, std::string>> loads;  // 0 = keep spec rate
-    for (const double l : offered_loads_) {
-      std::ostringstream oss;
-      oss << "load" << l;
-      loads.push_back({l, oss.str()});
-    }
-    if (loads.empty()) loads.push_back({0.0, ""});
-    std::vector<std::pair<serve::ServeConfig, std::string>> pols;
-    for (const serve::ServeConfig& sc : serve_policies_) {
-      pols.push_back({sc, sc.label()});
-    }
-    if (pols.empty()) pols.push_back({serve_spec_->scheduler, ""});
-    for (const auto& [load, load_label] : loads) {
-      for (const auto& [sc, sc_label] : pols) {
-        std::string axes = load_label;
-        append_label(axes, sc_label);
-        for (const Model& m : models_) {
-          serve::ServeSpec sp = *serve_spec_;
-          if (load > 0) sp.arrivals.requests_per_mcycle = load;
-          sp.scheduler = sc;
-          if (sp.classes.empty()) {
-            sp.classes.push_back(serve::RequestClass{
-                m.name(), m, 1.0, sp.default_deadline_cycles});
-          }
-          columns.push_back({axes, m.name(), Serve{std::move(sp)}});
-        }
-      }
-    }
-  } else {
-    for (const Model& m : models_) {
-      columns.push_back({"", m.name(), Inference{m, multicore_}});
-    }
+    columns.push_back(std::move(col));
   }
 
   // The tiling-policy axis composes with every config axis (it is
@@ -528,19 +451,20 @@ Sweep Experiment::sweep() const {
   Sweep sw;
   for (const Variant& v : variants) {
     for (const auto& tp : axis_or(tiling_policies_, nullptr)) {
-      for (const Column& col : columns) {
+      for (std::size_t c = 0; c < workloads_.size(); ++c) {
         std::string label = v.label;
         append_label(label, tp ? tp->name() : "");
-        append_label(label, col.axes);
-        SweepPoint p{label.empty() ? col.name : label + "/" + col.name,
-                     v.cfg, col.workload, options_};
+        append_label(label, columns[c].axes);
+        SweepPoint p{label.empty() ? columns[c].name
+                                   : label + "/" + columns[c].name,
+                     v.cfg, workloads_[c], options_};
         p.options.tiling = tp;
         if (p.name != trace_point_name_) p.options.trace = {};
-        // Campaigns only make sense for fault-enabled points; a baseline
-        // column in the faults axis runs once, normally.
-        if (campaign_runs_ > 0 && v.cfg.faults.enabled) {
-          p.workload = Campaign{std::get<Inference>(col.workload).model,
-                                campaign_runs_};
+        // A campaign on a fault-free variant (a baseline column in the
+        // faults axis) runs once, as a plain inference.
+        if (const auto* camp = std::get_if<Campaign>(&p.workload);
+            camp && !v.cfg.faults.enabled) {
+          p.workload = Inference{camp->model};
         }
         sw.add(std::move(p));
       }
@@ -616,7 +540,7 @@ SearchResult Experiment::search(const SearchSpec& spec) const {
         "sim::Experiment::search: point '" +
             p.name +
             "': search races layer-prefix proxies, so it needs plain "
-            "inference points (no serve()/fault_campaign()/llm())");
+            "Inference workloads (no Decode, Serve or Campaign)");
   }
 
   SearchResult result;

@@ -15,19 +15,27 @@
 //     sweep.add(cfg.name, cfg, zoo::resnet50(96));
 //   std::vector<sim::Report> reports = sweep.run({.threads = 8});
 //
-// Experiment is the grid builder on top: give it a base SocConfig plus the
-// axes to vary (scratchpad size, L2 size, core count, DRAM, model list)
-// and it emits the cartesian-product Sweep with stable point names.
+// Experiment is the grid builder on top: give it a base SocConfig, the
+// config axes to vary (scratchpad size, L2 size, core count, DRAM, tiling,
+// faults) and a list of workload columns, and it emits the
+// cartesian-product Sweep (config variants x columns) with stable point
+// names. A column is any Workload, so one grid can mix kinds; a grid over a
+// workload parameter is a loop that appends one column per value.
 //
-//   auto reports = sim::Experiment(SocConfig::base_1mb_l2())
-//                      .scratchpad_sizes({256 << 10, 512 << 10})
-//                      .l2_sizes({1 << 20, 2 << 20})
-//                      .models(zoo::all_paper_models_scaled())
-//                      .run();
+//   sim::Experiment ex(SocConfig::base_1mb_l2());
+//   ex.scratchpad_sizes({256 << 10, 512 << 10})
+//       .l2_sizes({1 << 20, 2 << 20})
+//       .models(zoo::all_paper_models_scaled())
+//       .workload(sim::Inference{zoo::resnet50(96), /*multicore=*/true});
+//   for (const unsigned batch : {1u, 8u}) {
+//     llm::DecodeConfig d;
+//     d.batch = batch;
+//     ex.workload(sim::Decode{d});
+//   }
+//   auto reports = ex.run();
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -206,6 +214,14 @@ class Experiment {
  public:
   explicit Experiment(SocConfig base = SocConfig{});
 
+  /// Appends one workload column; columns keep call order. A column's name
+  /// is its workload's own label (the model's name for Inference and
+  /// Campaign, DecodeConfig::label() for Decode, ServeSpec::label() for
+  /// Serve). Serve columns also add axes to the point label, encoding only
+  /// what varies across them: "load<requests_per_mcycle>" when their arrival
+  /// rates differ, ServeConfig::label() when their schedulers do.
+  Experiment& workload(Workload w);
+  /// Shorthand for workload(Inference{m}), once per model.
   Experiment& model(Model m);
   Experiment& models(std::vector<Model> ms);
   /// Scratchpad capacities (accumulator capacity is left at base).
@@ -231,39 +247,9 @@ class Experiment {
   /// Fault-model axis: one grid column per FaultConfig (composes with every
   /// other axis, including explicit configs). Point labels use each
   /// config's `name`, falling back to "f<i>". A disabled entry (e.g. a
-  /// fault-free baseline column) is carried through as-is.
+  /// fault-free baseline column) is carried through as-is, and a Campaign
+  /// column runs there as a plain Inference of its model.
   Experiment& fault_configs(std::vector<fault::FaultConfig> fcs);
-  /// Runs every fault-enabled point as an N-run seeded Campaign instead of
-  /// an Inference. Implies nothing for fault-free points.
-  /// Requires functional() and single-core points.
-  Experiment& fault_campaign(unsigned runs);
-  /// Serving scenario (src/serve/): every point runs serve::Server with
-  /// this spec instead of a single inference. When `spec.classes` is
-  /// empty, each point serves its own model as a single request class
-  /// (deadline = spec.default_deadline_cycles). Composes with every config
-  /// axis; mutually exclusive with fault_campaign() and multicore() (the
-  /// server schedules requests across the cores itself).
-  Experiment& serve(serve::ServeSpec spec);
-  /// LLM decode workload (src/llm/): every point runs the autoregressive
-  /// decode WorkStream built from this base config instead of a graph-IR
-  /// inference; the proxy model supplies point labels. Composes with every
-  /// config axis (DRAM channels/schedulers, L2 size, ...); mutually
-  /// exclusive with model()/models(), serve() and fault_campaign().
-  Experiment& llm(llm::DecodeConfig base);
-  /// LLM axes (require llm()): one grid column per value, overriding the
-  /// base decode config. Labels come from DecodeConfig::label(), which
-  /// encodes batch ("b4"), decode steps ("t8"), layout and int4.
-  Experiment& llm_batches(std::vector<unsigned> batches);
-  Experiment& llm_kv_layouts(std::vector<llm::KvLayout> layouts);
-  /// Serving axis: one grid column per offered load (requests per
-  /// megacycle), overriding the ServeSpec's arrival rate. Labels encode
-  /// the value ("load2.5"). Requires serve().
-  Experiment& offered_loads(std::vector<double> loads);
-  /// Serving axis: one grid column per scheduler policy, overriding the
-  /// ServeSpec's scheduler. Labels use ServeConfig::label() ("fifo",
-  /// "edf", "batch4"). Requires serve().
-  Experiment& serve_policies(std::vector<serve::ServeConfig> policies);
-  Experiment& multicore(bool on = true);
   Experiment& functional(bool on = true);
   Experiment& seed(std::uint64_t s);
 
@@ -287,22 +273,23 @@ class Experiment {
   Experiment& energy(energy::EnergyConfig cfg =
                          energy::EnergyConfig::enabled_default());
 
-  /// Expands the grid into a Sweep (configs x models, in axis order).
+  /// Expands the grid into a Sweep (configs x workload columns, in axis
+  /// order).
   Sweep sweep() const;
   /// sweep().run(opts).
   std::vector<Report> run(const SweepOptions& opts = {}) const;
 
   /// Successive-halving design-space search over this experiment's grid
-  /// (see SearchSpec). Works on plain inference grids only — serve(),
-  /// fault_campaign() and llm() points have no layer-prefix proxy and are
-  /// rejected. Deterministic: byte-identical SearchResult at any
-  /// `spec.threads`, and the final rung's winner matches what an exhaustive
-  /// full-fidelity sweep would pick under the same objective + budget.
+  /// (see SearchSpec). Works on Inference columns only — Decode, Serve and
+  /// Campaign points have no layer-prefix proxy and are rejected.
+  /// Deterministic: byte-identical SearchResult at any `spec.threads`, and
+  /// the final rung's winner matches what an exhaustive full-fidelity sweep
+  /// would pick under the same objective + budget.
   SearchResult search(const SearchSpec& spec = {}) const;
 
  private:
   SocConfig base_;
-  std::vector<Model> models_;
+  std::vector<Workload> workloads_;
   std::vector<std::uint64_t> sp_sizes_;
   std::vector<std::uint64_t> l2_sizes_;
   std::vector<unsigned> core_counts_;
@@ -312,14 +299,6 @@ class Experiment {
   std::vector<SocConfig> explicit_configs_;
   std::vector<std::shared_ptr<const lowering::TilingPolicy>> tiling_policies_;
   std::vector<fault::FaultConfig> fault_configs_;
-  std::optional<serve::ServeSpec> serve_spec_;
-  std::vector<double> offered_loads_;
-  std::vector<serve::ServeConfig> serve_policies_;
-  std::optional<llm::DecodeConfig> llm_base_;
-  std::vector<unsigned> llm_batches_;
-  std::vector<llm::KvLayout> llm_layouts_;
-  unsigned campaign_runs_ = 0;
-  bool multicore_ = false;
   /// Every point's options; `trace` goes to the trace_point only.
   SessionOptions options_{};
   std::string trace_point_name_;

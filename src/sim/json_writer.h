@@ -102,6 +102,7 @@ class JsonWriter {
       just_keyed_ = false;
       return;
     }
+    if (depth_ == 0) return;  // the document's value starts at byte 0
     comma();
     newline();
   }

@@ -96,30 +96,6 @@ class Session {
       cfg_ = std::move(cfg);
       return *this;
     }
-    Builder& accel(GemminiConfig cfg) {
-      cfg_.accel = std::move(cfg);
-      return *this;
-    }
-    Builder& cpu(CpuCostModel cpu) {
-      cfg_.cpu = std::move(cpu);
-      return *this;
-    }
-    Builder& mem(MemSysConfig mem) {
-      cfg_.mem = mem;
-      return *this;
-    }
-    Builder& os(OsNoiseModel os) {
-      cfg_.os = os;
-      return *this;
-    }
-    Builder& cores(unsigned n) {
-      cfg_.cores = n;
-      return *this;
-    }
-    Builder& name(std::string n) {
-      cfg_.name = std::move(n);
-      return *this;
-    }
     /// Replaces every session option at once. The setters below each write
     /// one SessionOptions field (documented there).
     Builder& options(SessionOptions opts) {

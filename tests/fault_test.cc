@@ -363,10 +363,9 @@ fault::FaultConfig ecc_single_bit() {
 TEST(FaultCampaign, EccOnCorrectsEverySingleBitFlip) {
   const std::vector<sim::Report> reports =
       sim::Experiment(SocConfig{})
-          .model(tiny_model())
           .functional()
           .fault_configs({ecc_single_bit()})
-          .fault_campaign(4)
+          .workload(sim::Campaign{tiny_model(), 4})
           .run({.threads = 2});
   ASSERT_EQ(reports.size(), 1u);
   const sim::ReliabilityReport& rel = reports[0].reliability;
@@ -394,10 +393,9 @@ TEST(FaultCampaign, SilentCorruptionClassifiesAsSdc) {
   fc.dram_flip_bits = 4;
   const std::vector<sim::Report> reports =
       sim::Experiment(SocConfig{})
-          .model(tiny_model())
           .functional()
           .fault_configs({fc})
-          .fault_campaign(3)
+          .workload(sim::Campaign{tiny_model(), 3})
           .run({.threads = 1});
   ASSERT_EQ(reports.size(), 1u);
   const sim::ReliabilityReport& rel = reports[0].reliability;
@@ -410,10 +408,9 @@ TEST(FaultCampaign, BaselineColumnRunsOnceWithoutCampaign) {
   baseline.name = "base";
   const std::vector<sim::Report> reports =
       sim::Experiment(SocConfig{})
-          .model(tiny_model())
           .functional()
           .fault_configs({baseline, ecc_single_bit()})
-          .fault_campaign(2)
+          .workload(sim::Campaign{tiny_model(), 2})
           .run({.threads = 2});
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_EQ(reports[0].point, "base/fault-tiny");
@@ -426,10 +423,9 @@ TEST(FaultCampaign, BaselineColumnRunsOnceWithoutCampaign) {
 TEST(FaultCampaign, ByteIdenticalAcrossRepeatsAndThreadCounts) {
   auto run_with = [](unsigned threads) {
     return sim::reports_to_json(sim::Experiment(SocConfig{})
-                                    .model(tiny_model())
                                     .functional()
                                     .fault_configs({ecc_single_bit()})
-                                    .fault_campaign(3)
+                                    .workload(sim::Campaign{tiny_model(), 3})
                                     .run({.threads = threads}));
   };
   const std::string first = run_with(1);
@@ -458,10 +454,9 @@ TEST(FaultCampaign, GoldenRunExportsTraceAndReportsEnergy) {
   std::remove(tc.export_path.c_str());
   const std::vector<sim::Report> reports =
       sim::Experiment(SocConfig{})
-          .model(tiny_model())
           .functional()
           .fault_configs({ecc_single_bit()})
-          .fault_campaign(2)
+          .workload(sim::Campaign{tiny_model(), 2})
           .energy()
           .trace_point("ecc1b/fault-tiny", tc)
           .run({.threads = 1});

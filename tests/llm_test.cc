@@ -269,16 +269,6 @@ TEST(LlmDecode, ValidateRejectsBadGeometry) {
   EXPECT_THROW(cfg.validate(), ConfigError);
 }
 
-TEST(LlmDecode, ProxyModelMirrorsGeometry) {
-  const llm::DecodeConfig cfg = small_decode();
-  const Model m = llm::proxy_model(cfg);
-  EXPECT_EQ(m.name(), cfg.label());
-  EXPECT_GT(m.total_macs(), 0u);
-  sim::Session session = sim::Session::builder().build();
-  const sim::Report r = session.run(m);
-  EXPECT_GT(r.cycles, 0u);
-}
-
 // ---- Decode vs the conv zoo on a contended memory system -------------------
 
 // The contended controller with a 4 MB L2: the scaled conv zoo then mostly
@@ -331,11 +321,18 @@ TEST(LlmDecodeDram, CyclesPerTokenImproveWithEachChannelDoubling) {
 
 TEST(LlmSweep, AxesExpandAndStayByteIdenticalAcrossThreads) {
   auto make_exp = [] {
-    return sim::Experiment(SocConfig{})
-        .llm(small_decode())
-        .llm_batches({1, 4})
-        .llm_kv_layouts({llm::KvLayout::kHeadMajor, llm::KvLayout::kTokenMajor})
-        .dram_channels({1, 2});
+    sim::Experiment ex(SocConfig{});
+    ex.dram_channels({1, 2});
+    for (const unsigned batch : {1u, 4u}) {
+      for (const llm::KvLayout layout :
+           {llm::KvLayout::kHeadMajor, llm::KvLayout::kTokenMajor}) {
+        llm::DecodeConfig c = small_decode();
+        c.batch = batch;
+        c.kv_layout = layout;
+        ex.workload(sim::Decode{c});
+      }
+    }
+    return ex;
   };
   const std::vector<sim::Report> r1 = make_exp().run({.threads = 1});
   const std::vector<sim::Report> r4 = make_exp().run({.threads = 4});
@@ -350,18 +347,6 @@ TEST(LlmSweep, AxesExpandAndStayByteIdenticalAcrossThreads) {
   // Point labels carry the config axis and the decode config's label.
   EXPECT_EQ(r1[0].point, "1ch/llm-h64-l2-b1-t3-head-major");
   EXPECT_EQ(r1[7].point, "2ch/llm-h64-l2-b4-t3-token-major");
-}
-
-TEST(LlmSweep, RejectsBadCombinations) {
-  EXPECT_THROW(sim::Experiment(SocConfig{})
-                   .llm(small_decode())
-                   .model(llm::proxy_model(small_decode()))
-                   .sweep(),
-               ConfigError);
-  EXPECT_THROW(sim::Experiment(SocConfig{})
-                   .llm_batches({1})
-                   .sweep(),
-               ConfigError);
 }
 
 }  // namespace

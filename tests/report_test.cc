@@ -290,8 +290,7 @@ std::string compact(const std::string& json) {
   return out;
 }
 
-constexpr const char* kExpected = R"json(
-{
+constexpr const char* kExpected = R"json({
   "point": "pt",
   "status": "error",
   "error": "bad \"tile\"\nline 2",
@@ -637,7 +636,10 @@ constexpr const char* kExpected = R"json(
 })json";
 
 TEST(ReportJson, EveryFieldIndentTwo) {
-  EXPECT_EQ(full_report().to_json(2), kExpected);
+  const std::string json = full_report().to_json(2);
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.front(), '{');  // no layout whitespace before the document
+  EXPECT_EQ(json, kExpected);
 }
 
 TEST(ReportJson, EveryFieldIndentZero) {

@@ -244,6 +244,10 @@ TEST(ServeScheduler, BatchGroupsSameClassOnly) {
   EXPECT_GT(s.depth_stat().max(), 0.0);
 }
 
+TEST(Server, RefusesASpecWithoutClassesAtConstruction) {
+  EXPECT_THROW(serve::Server(SocConfig{}, serve::ServeSpec{}), ConfigError);
+}
+
 // ---- Server: the load -> 0 identity ----------------------------------------
 
 TEST(Server, SingleRequestReducesToSessionLatency) {
@@ -587,16 +591,21 @@ TEST(ServeSweep, ByteIdenticalAcross1_2_4WorkerThreads) {
   serve::ServeSpec spec;
   spec.arrivals.horizon_cycles = 4'000'000;
   spec.arrivals.seed = 11;
-  spec.default_deadline_cycles = 400'000;
+  spec.classes = {{"serve-tiny", tiny_model(), 1.0, 400'000}};
 
   auto make_exp = [&]() {
-    return sim::Experiment(SocConfig{})
-        .model(tiny_model())
-        .serve(spec)
-        .offered_loads({2.0, 20.0})
-        .serve_policies({serve::ServeConfig{},
-                         serve::ServeConfig{serve::ServePolicy::kEdf, 1, 0,
-                                            true}});
+    sim::Experiment ex(SocConfig{});
+    for (const double load : {2.0, 20.0}) {
+      for (const serve::ServeConfig& policy :
+           {serve::ServeConfig{},
+            serve::ServeConfig{serve::ServePolicy::kEdf, 1, 0, true}}) {
+        serve::ServeSpec sp = spec;
+        sp.arrivals.requests_per_mcycle = load;
+        sp.scheduler = policy;
+        ex.workload(sim::Serve{sp});
+      }
+    }
+    return ex;
   };
   const std::vector<sim::Report> r1 = make_exp().run({.threads = 1});
   const std::vector<sim::Report> r2 = make_exp().run({.threads = 2});
@@ -614,23 +623,16 @@ TEST(ServeSweep, ByteIdenticalAcross1_2_4WorkerThreads) {
   EXPECT_EQ(r1[3].point, "load20-edf/serve-tiny");
 }
 
-TEST(ServeSweep, AxesRequireServe) {
-  EXPECT_THROW(sim::Experiment(SocConfig{})
-                   .model(tiny_model())
-                   .offered_loads({1.0})
-                   .sweep(),
-               ConfigError);
-}
-
 TEST(ServeSweep, MulticoreTraceAndEnergyAreRefused) {
-  // A Server schedules requests across the cores itself, and has no single
-  // Session to trace or meter: these settings fail instead of being dropped.
+  // A Server schedules requests across the cores itself (sim::Serve has no
+  // multicore flag), and has no single Session to trace or meter: these
+  // settings fail instead of being dropped.
   auto exp = [] {
     serve::ServeSpec spec;
     spec.arrivals.horizon_cycles = 1'000'000;
-    return sim::Experiment(SocConfig{}).model(tiny_model()).serve(spec);
+    spec.classes = {{"serve-tiny", tiny_model(), 1.0, 0}};
+    return sim::Experiment(SocConfig{}).workload(sim::Serve{spec});
   };
-  EXPECT_THROW(exp().multicore().sweep(), ConfigError);
   for (const sim::Report& rep :
        {exp().trace_point("serve-tiny").run().at(0),
         exp().energy().run().at(0)}) {

@@ -471,6 +471,87 @@ TEST(SimExperiment, ExplicitConfigsExclusiveWithAxes) {
   EXPECT_THROW(exp.sweep(), ConfigError);
 }
 
+TEST(SimExperiment, MixedWorkloadKindsInOneGrid) {
+  // One grid, every workload kind: each column keeps its call-order slot
+  // and its own label, the Campaign on the fault-free column runs as a
+  // plain Inference, and every point reports exactly what Sweep::run_point
+  // reports for the same hand-built point.
+  auto tiny = [](const std::string& name) {
+    ModelBuilder b(name);
+    b.input(12, 12, 8);
+    b.conv(16, 3, 1, 1, Activation::kRelu);
+    b.dense(10);
+    return b.build();
+  };
+  llm::DecodeConfig dc;
+  dc.hidden = 64;
+  dc.heads = 2;
+  dc.ffn_mult = 2;
+  dc.layers = 2;
+  dc.prompt_tokens = 4;
+  dc.decode_steps = 3;
+  serve::ServeSpec spec;
+  spec.arrivals.horizon_cycles = 1'000'000;
+  spec.arrivals.max_requests = 3;
+  spec.classes = {{"tiny-srv", tiny("tiny-srv"), 1.0, 0}};
+
+  fault::FaultConfig base;  // disabled: the fault-free column
+  base.name = "base";
+  fault::FaultConfig ecc1b;
+  ecc1b.enabled = true;
+  ecc1b.name = "ecc1b";
+  ecc1b.seed = 5;
+  ecc1b.dram_read_flip_rate = 0.05;
+  ecc1b.ecc.enabled = true;
+  SocConfig soc;
+  soc.cores = 2;
+
+  const std::vector<sim::Workload> columns = {
+      sim::Inference{tiny("tiny")},
+      sim::Inference{tiny("tiny-mc"), true},
+      sim::Decode{dc},
+      sim::Serve{spec},
+      sim::Campaign{tiny("tiny-camp"), 2},
+  };
+  sim::Experiment exp(soc);
+  exp.functional().fault_configs({base, ecc1b});
+  for (const sim::Workload& w : columns) exp.workload(w);
+
+  const std::vector<std::string> names = {
+      "base/tiny",      "base/tiny-mc",   "base/llm-h64-l2-b1-t3-head-major",
+      "base/tiny-srv",  "base/tiny-camp", "ecc1b/tiny",
+      "ecc1b/tiny-mc",  "ecc1b/llm-h64-l2-b1-t3-head-major",
+      "ecc1b/tiny-srv", "ecc1b/tiny-camp"};
+  const sim::Sweep sweep = exp.sweep();
+  ASSERT_EQ(sweep.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(sweep.points()[i].name, names[i]);
+  }
+  EXPECT_TRUE(
+      std::holds_alternative<sim::Inference>(sweep.points()[4].workload));
+  EXPECT_TRUE(
+      std::holds_alternative<sim::Campaign>(sweep.points()[9].workload));
+
+  const std::vector<sim::Report> r1 = exp.run({.threads = 1});
+  const std::vector<sim::Report> r4 = exp.run({.threads = 4});
+  EXPECT_EQ(sim::reports_to_json(r1), sim::reports_to_json(r4));
+  ASSERT_EQ(r1.size(), names.size());
+  EXPECT_FALSE(r1[4].reliability.enabled);
+  EXPECT_EQ(r1[9].reliability.campaign_runs, 2u);
+
+  sim::SessionOptions opts;
+  opts.functional = true;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    SocConfig cfg = soc;
+    cfg.faults = i < columns.size() ? base : ecc1b;
+    sim::Workload w = columns[i % columns.size()];
+    if (i == 4) w = sim::Inference{tiny("tiny-camp")};
+    const sim::SweepPoint p{names[i], cfg, w, opts};
+    EXPECT_EQ(r1[i].status, "ok") << names[i] << ": " << r1[i].error;
+    EXPECT_EQ(r1[i].to_json(), sim::Sweep::run_point(p).to_json()) << names[i];
+  }
+}
+
 // ---- pipeline compile entry point ------------------------------------------
 
 TEST(PipelineCompile, SingleAddressSpaceEntryPoint) {
