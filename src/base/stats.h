@@ -1,20 +1,18 @@
 #pragma once
-// Statistics helpers: windowed time series, exact percentiles, and
-// time-weighted accumulators.
+// Statistics helpers: exact percentiles and time-weighted accumulators.
 //
 // Event counts are not kept here: every timed component counts each event
 // once into its own plain typed `Stats` struct (src/mem/dram.h, src/vm/tlb.h,
 // ...), the SoC zeroes those structs at run start, and the metrics registry
-// and energy meter read them when a sampler window closes.
+// and energy meter read them when a sampler window closes. Windowed series
+// (e.g. the paper's Fig. 4 TLB miss rate over a ResNet-50 inference) are the
+// metrics sampler's timelines of those counts (src/metrics/metrics.h).
 //
-// The TimeSeries type backs the paper's Fig. 4 (TLB miss rate over a full
-// ResNet-50 inference): it buckets events into fixed-width cycle windows and
-// reports a per-window rate. `percentile`/`percentile_sorted` compute exact
-// nearest-rank percentiles from stored samples (no sketches — the serving
-// layer's tail latencies are exact), and `TimeWeighted` integrates a
-// piecewise-constant value (e.g. a queue depth) over simulated time so its
-// mean weights each level by how long it was held, not by how often it
-// changed.
+// `percentile`/`percentile_sorted` compute exact nearest-rank percentiles
+// from stored samples (no sketches — the serving layer's tail latencies are
+// exact), and `TimeWeighted` integrates a piecewise-constant value (e.g. a
+// queue depth) over simulated time so its mean weights each level by how
+// long it was held, not by how often it changed.
 
 #include <algorithm>
 #include <cstdint>
@@ -110,60 +108,5 @@ class TimeWeighted {
 inline double safe_ratio(std::uint64_t n, std::uint64_t d) {
   return d == 0 ? 0.0 : static_cast<double>(n) / static_cast<double>(d);
 }
-
-/// Buckets (event, total) pairs into fixed-width cycle windows. Used to
-/// profile e.g. TLB miss rate over time (paper Fig. 4).
-class TimeSeries {
- public:
-  explicit TimeSeries(Cycle window_cycles = 100000)
-      : window_(window_cycles == 0 ? 1 : window_cycles) {}
-
-  /// Record one observation at time `t`; `hit==false` counts as the tracked
-  /// event (e.g. a miss).
-  void record(Cycle t, bool event) {
-    const std::size_t idx = static_cast<std::size_t>(t / window_);
-    if (idx >= totals_.size()) {
-      totals_.resize(idx + 1, 0);
-      events_.resize(idx + 1, 0);
-    }
-    ++totals_[idx];
-    if (event) ++events_[idx];
-  }
-
-  Cycle window_cycles() const { return window_; }
-  std::size_t num_windows() const { return totals_.size(); }
-
-  /// Event rate (events/total) in window `i`; 0 for empty windows.
-  double rate(std::size_t i) const {
-    if (i >= totals_.size() || totals_[i] == 0) return 0.0;
-    return static_cast<double>(events_[i]) / static_cast<double>(totals_[i]);
-  }
-
-  std::uint64_t events(std::size_t i) const {
-    return i < events_.size() ? events_[i] : 0;
-  }
-  std::uint64_t totals(std::size_t i) const {
-    return i < totals_.size() ? totals_[i] : 0;
-  }
-
-  /// Maximum per-window event rate over all non-empty windows.
-  double max_rate() const {
-    double m = 0.0;
-    for (std::size_t i = 0; i < totals_.size(); ++i) {
-      if (totals_[i] > 0 && rate(i) > m) m = rate(i);
-    }
-    return m;
-  }
-
-  void clear() {
-    totals_.clear();
-    events_.clear();
-  }
-
- private:
-  Cycle window_;
-  std::vector<std::uint64_t> totals_;
-  std::vector<std::uint64_t> events_;
-};
 
 }  // namespace gemmini

@@ -22,8 +22,7 @@ Cache::Cache(const CacheConfig& cfg, std::string name)
   lines_.assign(static_cast<std::size_t>(num_sets_) * cfg_.ways, Line{});
 }
 
-CacheAccess Cache::access_line(PAddr addr, bool write, RequestorId requestor) {
-  (void)requestor;
+CacheAccess Cache::access_line(PAddr addr, bool write) {
   const std::uint64_t line = line_addr(addr);
   const std::uint64_t set = set_index(line);
   const std::uint64_t tag = tag_of(line);

@@ -52,9 +52,9 @@ class Cache {
   explicit Cache(const CacheConfig& cfg, std::string name = "l2");
 
   /// Access one cache line containing `addr`. Allocates on miss and reports
-  /// whether a dirty victim was evicted. `requestor` is not used by the tag
-  /// store (per-requestor accounting lives on the buses and DRAM).
-  CacheAccess access_line(PAddr addr, bool write, RequestorId requestor);
+  /// whether a dirty victim was evicted. The tag store is shared: per-
+  /// requestor accounting lives on the buses and DRAM.
+  CacheAccess access_line(PAddr addr, bool write);
 
   /// True if the line containing `addr` is currently resident (no state
   /// change) — used by tests and by the CPU cost model's reuse estimator.

@@ -27,7 +27,7 @@ Cycle MemorySystem::access(PAddr addr, std::uint64_t bytes, bool write,
     // System bus carries the request (and its data beat) to the L2.
     const Cycle at_l2 = sysbus_.transfer(t, in_line, requestor);
 
-    const CacheAccess ca = l2_->access_line(cur, write, requestor);
+    const CacheAccess ca = l2_->access_line(cur, write);
     if (tracer_) {
       tracer_->instant(ca.hit ? trace::EventKind::kL2Hit
                               : trace::EventKind::kL2Miss,

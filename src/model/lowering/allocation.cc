@@ -128,9 +128,7 @@ void allocate_buffers(sim::Plan& plan, const GemminiConfig& cfg,
 
     // Finalize modeled traffic now the bias decision is known.
     if (pl.has_matmul && pl.target == LayerTarget::kAccel) {
-      pl.dma_bytes = pl.matmul.count *
-                     modeled_dma_bytes(cfg, pl.matmul.dims, pl.matmul.tile,
-                                       pl.bias.va != 0, l.int4_weights);
+      pl.dma_bytes = sim::matmul_dma_bytes(pl, l, cfg);
     }
   }
 }

@@ -82,8 +82,7 @@ void assign_tiles(sim::Plan& plan, const GemminiConfig& cfg,
       // Traffic is finalized after allocation decides whether a bias buffer
       // exists; record the bias-free figure now so the plan is never
       // inconsistent mid-pipeline.
-      pl.dma_bytes =
-          mm.count * modeled_dma_bytes(cfg, mm.dims, pl.matmul.tile);
+      pl.dma_bytes = sim::matmul_dma_bytes(pl, l, cfg);
       continue;
     }
     if (pl.target != LayerTarget::kAccel) continue;

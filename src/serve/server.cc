@@ -493,22 +493,7 @@ std::string request_trace_json(const sim::Report& rep, int indent) {
   }
   // Sampled serving timelines ride along as counter tracks so the request
   // spans can be read against queue depth and in-flight batch size.
-  if (rep.metrics.enabled && rep.metrics.sample_interval > 0) {
-    for (const auto& [name, tl] : rep.metrics.counter_timelines) {
-      trace::CounterTrack ct;
-      ct.name = name;
-      ct.interval = rep.metrics.sample_interval;
-      ct.values.assign(tl.begin(), tl.end());
-      opts.counters.push_back(std::move(ct));
-    }
-    for (const auto& [name, tl] : rep.metrics.gauge_timelines) {
-      trace::CounterTrack ct;
-      ct.name = name;
-      ct.interval = rep.metrics.sample_interval;
-      ct.values = tl;
-      opts.counters.push_back(std::move(ct));
-    }
-  }
+  opts.counters = sim::counter_tracks(rep.metrics);
   return trace::to_perfetto_json({}, opts);
 }
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <tuple>
 #include <type_traits>
 
@@ -469,6 +470,12 @@ Sweep Experiment::sweep() const {
         sw.add(std::move(p));
       }
     }
+  }
+  std::set<std::string_view> names;
+  for (const SweepPoint& p : sw.points()) {
+    GEMMINI_CONFIG_REQUIRE(names.insert(p.name).second,
+                           "sim::Experiment: duplicate sweep point name '" +
+                               p.name + "'");
   }
   if (!trace_point_name_.empty()) {
     bool found = false;

@@ -66,6 +66,13 @@ void write_layer(detail::JsonWriter& w, const PlannedLayer& l) {
 
 }  // namespace
 
+std::uint64_t matmul_dma_bytes(const PlannedLayer& pl, const LayerSpec& spec,
+                               const GemminiConfig& cfg) {
+  return pl.matmul.count * gemmini::modeled_dma_bytes(
+                               cfg, pl.matmul.dims, pl.matmul.tile,
+                               pl.bias.va != 0, spec.int4_weights);
+}
+
 std::uint64_t Plan::modeled_dma_bytes() const {
   std::uint64_t total = 0;
   for (const PlannedLayer& l : layers) total += l.dma_bytes;
@@ -83,9 +90,7 @@ void Plan::set_tile(std::size_t layer, TileShape tile,
                     "set_tile: layer " << layer
                                        << " is not accelerator-placed");
   l.matmul.tile = tile;
-  l.dma_bytes = l.matmul.count *
-                gemmini::modeled_dma_bytes(cfg, l.matmul.dims, tile,
-                                           l.bias.va != 0);
+  l.dma_bytes = matmul_dma_bytes(l, model_.layers()[layer], cfg);
   tiling_policy = "manual-edit";
 }
 

@@ -75,6 +75,14 @@ struct PlannedLayer {
   friend bool operator==(const PlannedLayer&, const PlannedLayer&) = default;
 };
 
+/// Modeled DRAM traffic of `pl`, an accelerator-placed matmul layer, at its
+/// current tile: `matmul.count` tiled matmuls, with a bias row iff `pl` has
+/// a bias buffer, and with packed-nibble B iff `spec` (the model layer `pl`
+/// plans) has int4 weights. Every phase that prices a planned matmul uses
+/// this, so tiling, allocation and set_tile agree.
+std::uint64_t matmul_dma_bytes(const PlannedLayer& pl, const LayerSpec& spec,
+                               const GemminiConfig& cfg);
+
 /// The compiled plan for one model on one instantiation. Carries a copy of
 /// the model so emission and re-runs are self-contained.
 class Plan {

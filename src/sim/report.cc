@@ -377,6 +377,18 @@ MetricsReport snapshot_metrics(const metrics::Metrics& m) {
   return out;
 }
 
+std::vector<trace::CounterTrack> counter_tracks(const MetricsReport& m) {
+  std::vector<trace::CounterTrack> out;
+  if (!m.enabled || m.sample_interval == 0) return out;
+  for (const auto& [name, tl] : m.counter_timelines) {
+    out.push_back({name, m.sample_interval, {tl.begin(), tl.end()}});
+  }
+  for (const auto& [name, tl] : m.gauge_timelines) {
+    out.push_back({name, m.sample_interval, tl});
+  }
+  return out;
+}
+
 MetricsReport merge_metrics(const std::vector<Report>& reports) {
   MetricsReport out;
   for (const Report& r : reports) {

@@ -27,6 +27,7 @@
 #include "src/fault/fault.h"
 #include "src/metrics/metrics.h"
 #include "src/trace/bottleneck.h"
+#include "src/trace/perfetto.h"
 
 namespace gemmini::sim {
 
@@ -422,6 +423,10 @@ std::string metrics_to_json(const MetricsReport& m, int indent = 0);
 /// Snapshots a live metrics collector into the Report shape: registry
 /// totals plus the sampler's timelines (empty when sampling is off).
 MetricsReport snapshot_metrics(const metrics::Metrics& m);
+
+/// The sampled timelines of `m` as Perfetto counter tracks: counters, then
+/// gauges, each in name order. Empty when the sampler was off.
+std::vector<trace::CounterTrack> counter_tracks(const MetricsReport& m);
 
 /// Deterministic accumulate of the metrics sections of `reports`, in point
 /// order: counters, histograms and counter timelines sum (timelines

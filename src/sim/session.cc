@@ -84,31 +84,15 @@ trace::PerfettoOptions Session::perfetto_options(int indent) const {
   // When the sampler ran, its timelines ride along as counter tracks
   // beside the cycle-level span tracks (name-ordered: deterministic).
   if (metrics_ && metrics_->sampling()) {
-    const metrics::TimeSeriesSampler& s = metrics_->sampler();
-    for (const auto& [name, cs] : s.counter_series()) {
-      trace::CounterTrack ct;
-      ct.name = name;
-      ct.interval = s.interval();
-      ct.values.assign(cs.deltas.begin(), cs.deltas.end());
-      opts.counters.push_back(std::move(ct));
-    }
-    for (const auto& [name, gs] : s.gauge_series()) {
-      trace::CounterTrack ct;
-      ct.name = name;
-      ct.interval = s.interval();
-      ct.values = gs;
-      opts.counters.push_back(std::move(ct));
-    }
+    opts.counters = counter_tracks(snapshot_metrics(*metrics_));
     // Derived power-over-time track: the same per-window watts the Report
     // carries, visible next to the raw energy counters.
     if (meter_ && last_finish_ > 0) {
       const EnergyReport e = derive_energy(last_finish_);
       if (!e.window_watts.empty()) {
-        trace::CounterTrack ct;
-        ct.name = "energy.power_watts";
-        ct.interval = s.interval();
-        ct.values = e.window_watts;
-        opts.counters.push_back(std::move(ct));
+        opts.counters.push_back({"energy.power_watts",
+                                 metrics_->sampler().interval(),
+                                 e.window_watts});
       }
     }
   }

@@ -4,14 +4,12 @@
 
 namespace gemmini {
 
-Tlb::Tlb(const TlbConfig& cfg, std::string name, Cycle profile_window)
-    : cfg_(cfg), name_(std::move(name)), series_(profile_window) {
+Tlb::Tlb(const TlbConfig& cfg) : cfg_(cfg) {
   cfg_.validate();
   entries_.assign(cfg_.entries, Entry{});
 }
 
-std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write,
-                                         Cycle t) {
+std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write) {
   // Consecutive same-page profiling (pre-lookup, per request stream).
   if (is_write) {
     ++stats_.write_requests;
@@ -32,9 +30,9 @@ std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write,
   // Last-page fast path: a one-entry filter per request stream in front of
   // the set scan. Same-page streaks resolve against the remembered entry
   // directly; the entry is re-validated (flush / eviction / refill may have
-  // replaced it), and all architectural bookkeeping — hit counters, LRU
-  // refresh, miss-rate series — is identical to the scanning path, so timing
-  // and statistics are unchanged.
+  // replaced it), and all architectural bookkeeping — hit counters and LRU
+  // refresh — is identical to the scanning path, so timing and statistics
+  // are unchanged.
   LastHit& last = is_write ? last_write_hit_ : last_read_hit_;
   if (last.valid && last.vpn == vpn) {
     Entry& e = entries_[last.idx];
@@ -42,7 +40,6 @@ std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write,
       e.lru = ++lru_clock_;
       ++stats_.hits;
       ++stats_.fastpath_hits;
-      series_.record(t, /*event=*/false);
       return e.ppn;
     }
     last.valid = false;  // stale: entry was evicted or remapped
@@ -59,12 +56,10 @@ std::optional<std::uint64_t> Tlb::lookup(std::uint64_t vpn, bool is_write,
       last.valid = true;
       last.vpn = vpn;
       last.idx = static_cast<std::size_t>(set) * set_ways() + w;
-      series_.record(t, /*event=*/false);
       return e.ppn;
     }
   }
   ++stats_.misses;
-  series_.record(t, /*event=*/true);
   return std::nullopt;
 }
 

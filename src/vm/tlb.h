@@ -2,14 +2,15 @@
 // TLB model: fully-associative with true LRU (private accelerator TLBs are
 // small, 4..64 entries) or set-associative for the larger shared L2 TLB.
 //
-// Tracks hit/miss counters, a windowed miss-rate time series (paper Fig. 4),
-// and same-page-as-last-request statistics split by read/write (the paper
-// reports 87% of consecutive reads and 83% of consecutive writes touch the
-// same page, motivating the filter registers of Fig. 8b).
+// Tracks hit/miss counters and same-page-as-last-request statistics split by
+// read/write (the paper reports 87% of consecutive reads and 83% of
+// consecutive writes touch the same page, motivating the filter registers of
+// Fig. 8b). The windowed miss rate of Fig. 4 is not kept here: the SoC
+// publishes the hit/miss counts as `core<N>.tlb.{hits,misses}`, and the
+// metrics sampler windows them into the Report's counter timelines.
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/base/stats.h"
@@ -58,13 +59,10 @@ class Tlb {
     }
   };
 
-  explicit Tlb(const TlbConfig& cfg, std::string name = "tlb",
-               Cycle profile_window = 100000);
+  explicit Tlb(const TlbConfig& cfg);
 
-  /// Looks up `vpn` at time `t`. Returns the mapped PPN on hit. Records the
-  /// access in the profiling series either way.
-  std::optional<std::uint64_t> lookup(std::uint64_t vpn, bool is_write,
-                                      Cycle t);
+  /// Looks up `vpn`. Returns the mapped PPN on hit.
+  std::optional<std::uint64_t> lookup(std::uint64_t vpn, bool is_write);
 
   /// Installs vpn -> ppn, evicting LRU within the set if full.
   void fill(std::uint64_t vpn, std::uint64_t ppn);
@@ -74,12 +72,8 @@ class Tlb {
 
   const TlbConfig& config() const { return cfg_; }
   const Stats& stats() const { return stats_; }
-  const TimeSeries& miss_series() const { return series_; }
-  /// Zeroes the counts and the miss-rate profile.
-  void reset_stats() {
-    stats_ = Stats{};
-    series_.clear();
-  }
+  /// Zeroes the counts.
+  void reset_stats() { stats_ = Stats{}; }
 
  private:
   struct Entry {
@@ -98,11 +92,9 @@ class Tlb {
   }
 
   TlbConfig cfg_;
-  std::string name_;
   std::vector<Entry> entries_;
   std::uint64_t lru_clock_ = 0;
   Stats stats_;
-  TimeSeries series_;
 
   bool have_last_read_ = false, have_last_write_ = false;
   std::uint64_t last_read_vpn_ = 0, last_write_vpn_ = 0;

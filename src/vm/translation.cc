@@ -8,11 +8,11 @@ namespace gemmini {
 TranslationSystem::TranslationSystem(const TranslationConfig& cfg,
                                      PageTableWalker& ptw, Observers obs)
     : cfg_(cfg),
-      private_(cfg.private_tlb, "private_tlb", cfg.profile_window),
+      private_(cfg.private_tlb),
       ptw_(ptw),
       obs_(obs) {
   if (cfg_.l2_tlb.entries > 0) {
-    l2_.emplace(cfg_.l2_tlb, "l2_tlb", cfg_.profile_window);
+    l2_.emplace(cfg_.l2_tlb);
   }
 }
 
@@ -42,7 +42,7 @@ Translation TranslationSystem::translate(const AddressSpace& as, VAddr va,
 
   Cycle now = t;
   PAddr ppn_base = 0;
-  if (auto ppn = private_.lookup(vpn, is_write, t)) {
+  if (auto ppn = private_.lookup(vpn, is_write)) {
     now += cfg_.private_tlb.hit_latency;
     ppn_base = *ppn;
     out.level = TranslationLevel::kPrivateTlb;
@@ -50,7 +50,7 @@ Translation TranslationSystem::translate(const AddressSpace& as, VAddr va,
     now += cfg_.private_tlb.hit_latency;  // discover the miss first
     bool filled = false;
     if (l2_) {
-      if (auto ppn = l2_->lookup(vpn, is_write, now)) {
+      if (auto ppn = l2_->lookup(vpn, is_write)) {
         now += cfg_.l2_tlb.hit_latency;
         ppn_base = *ppn;
         out.level = TranslationLevel::kSharedTlb;

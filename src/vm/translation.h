@@ -25,7 +25,6 @@ struct TranslationConfig {
   TlbConfig l2_tlb{.entries = 512, .ways = 4, .hit_latency = 14};
   bool filter_registers = false;
   PtwConfig ptw{};
-  Cycle profile_window = 100000;  ///< miss-rate series bucketing (Fig. 4)
 };
 
 /// Where a translation was satisfied — for statistics and tests.

@@ -104,24 +104,6 @@ TEST(Tensor, RandomizeDeterministic) {
   EXPECT_EQ(a, b);
 }
 
-TEST(Stats, TimeSeriesWindows) {
-  TimeSeries ts(100);
-  for (Cycle t = 0; t < 100; ++t) ts.record(t, t < 20);   // 20% in window 0
-  for (Cycle t = 100; t < 200; ++t) ts.record(t, false);  // 0% in window 1
-  ASSERT_EQ(ts.num_windows(), 2u);
-  EXPECT_DOUBLE_EQ(ts.rate(0), 0.2);
-  EXPECT_DOUBLE_EQ(ts.rate(1), 0.0);
-  EXPECT_DOUBLE_EQ(ts.max_rate(), 0.2);
-}
-
-TEST(Stats, TimeSeriesEmptyWindowsRateZero) {
-  TimeSeries ts(10);
-  ts.record(95, true);  // only window 9 populated
-  EXPECT_EQ(ts.num_windows(), 10u);
-  EXPECT_DOUBLE_EQ(ts.rate(0), 0.0);
-  EXPECT_DOUBLE_EQ(ts.rate(9), 1.0);
-}
-
 TEST(Stats, PercentileNearestRank) {
   const std::vector<Cycle> s = {10, 20, 30, 40, 50, 60, 70, 80, 90, 100};
   // Nearest-rank: rank = ceil(q/100 * N), 1-based.

@@ -48,19 +48,19 @@ TEST(FrameAllocator, AllocatesDistinctAlignedFrames) {
 
 TEST(Cache, HitAfterMiss) {
   Cache c(CacheConfig{.size_bytes = 4096, .ways = 2, .line_bytes = 64});
-  EXPECT_FALSE(c.access_line(0x100, false, {0}).hit);
-  EXPECT_TRUE(c.access_line(0x100, false, {0}).hit);
-  EXPECT_TRUE(c.access_line(0x13f, false, {0}).hit);   // same line
-  EXPECT_FALSE(c.access_line(0x140, false, {0}).hit);  // next line
+  EXPECT_FALSE(c.access_line(0x100, false).hit);
+  EXPECT_TRUE(c.access_line(0x100, false).hit);
+  EXPECT_TRUE(c.access_line(0x13f, false).hit);   // same line
+  EXPECT_FALSE(c.access_line(0x140, false).hit);  // next line
 }
 
 TEST(Cache, LruEviction) {
   // 2-way, line 64, size 128 => 1 set.
   Cache c(CacheConfig{.size_bytes = 128, .ways = 2, .line_bytes = 64});
-  c.access_line(0 * 64, false, {0});   // A
-  c.access_line(1 * 64, false, {0});   // B
-  c.access_line(0 * 64, false, {0});   // touch A (B is now LRU)
-  c.access_line(2 * 64, false, {0});   // C evicts B
+  c.access_line(0 * 64, false);  // A
+  c.access_line(1 * 64, false);  // B
+  c.access_line(0 * 64, false);  // touch A (B is now LRU)
+  c.access_line(2 * 64, false);  // C evicts B
   EXPECT_TRUE(c.probe(0 * 64));
   EXPECT_FALSE(c.probe(1 * 64));
   EXPECT_TRUE(c.probe(2 * 64));
@@ -68,9 +68,9 @@ TEST(Cache, LruEviction) {
 
 TEST(Cache, DirtyEvictionReportsWriteback) {
   Cache c(CacheConfig{.size_bytes = 128, .ways = 2, .line_bytes = 64});
-  c.access_line(0, true, {0});  // dirty A
-  c.access_line(64, false, {0});
-  const CacheAccess r = c.access_line(128, false, {0});  // evicts dirty A
+  c.access_line(0, true);  // dirty A
+  c.access_line(64, false);
+  const CacheAccess r = c.access_line(128, false);  // evicts dirty A
   EXPECT_TRUE(r.writeback);
   EXPECT_EQ(r.victim_line, 0u);
 }
@@ -79,12 +79,12 @@ TEST(Cache, WritebackVictimAddressReconstruction) {
   CacheConfig cfg{.size_bytes = 1 << 14, .ways = 4, .line_bytes = 64};
   Cache c(cfg);
   const PAddr victim = 0x4'2940;  // arbitrary line-aligned address
-  c.access_line(victim, true, {0});
+  c.access_line(victim, true);
   // Fill the same set with conflicting lines to force the eviction.
   const std::uint64_t set_stride = 64ull * cfg.num_sets();
   CacheAccess last;
   for (unsigned i = 1; i <= cfg.ways; ++i) {
-    last = c.access_line(victim + i * set_stride, false, {0});
+    last = c.access_line(victim + i * set_stride, false);
   }
   EXPECT_TRUE(last.writeback);
   EXPECT_EQ(last.victim_line, victim & ~63ull);
@@ -92,15 +92,15 @@ TEST(Cache, WritebackVictimAddressReconstruction) {
 
 TEST(Cache, MissRateTracksAccesses) {
   Cache c(CacheConfig{.size_bytes = 4096, .ways = 4, .line_bytes = 64});
-  for (int i = 0; i < 32; ++i) c.access_line(i * 64, false, {0});
+  for (int i = 0; i < 32; ++i) c.access_line(i * 64, false);
   EXPECT_DOUBLE_EQ(c.stats().miss_rate(), 1.0);
-  for (int i = 0; i < 32; ++i) c.access_line(i * 64, false, {0});
+  for (int i = 0; i < 32; ++i) c.access_line(i * 64, false);
   EXPECT_DOUBLE_EQ(c.stats().miss_rate(), 0.5);
 }
 
 TEST(Cache, FlushInvalidatesEverything) {
   Cache c(CacheConfig{.size_bytes = 4096, .ways = 4, .line_bytes = 64});
-  c.access_line(0, true, {0});
+  c.access_line(0, true);
   c.flush();
   EXPECT_FALSE(c.probe(0));
 }

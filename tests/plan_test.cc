@@ -179,6 +179,21 @@ TEST(Plan, SetTileChangesEmissionDeterministically) {
   EXPECT_EQ(session.run(plan).cycles, after);
 }
 
+TEST(Plan, SetTileToItsOwnTileKeepsInt4Traffic) {
+  // An int4 dense layer moves its weights as packed nibbles; re-pricing the
+  // layer at the tile it already has must not fall back to int8 weights.
+  ModelBuilder b("int4-dense");
+  b.input_matrix(4, 256);
+  const int dense = b.dense(256, Activation::kNone, -1, /*int4_weights=*/true);
+  sim::Session session = sim::Session::builder(test_config()).build();
+  sim::Plan plan = session.plan(b.build());
+  const sim::PlannedLayer& l = plan.layers[static_cast<std::size_t>(dense)];
+  ASSERT_TRUE(l.has_matmul);
+  const std::uint64_t dma_before = l.dma_bytes;
+  plan.set_tile(l.index, l.matmul.tile, session.config().accel);
+  EXPECT_EQ(l.dma_bytes, dma_before);
+}
+
 TEST(Plan, InfeasibleMutationRejectedAtEmission) {
   sim::Session session = sim::Session::builder(test_config()).build();
   sim::Plan plan = session.plan(zoo::squeezenet_v11(48));

@@ -471,6 +471,35 @@ TEST(SimExperiment, ExplicitConfigsExclusiveWithAxes) {
   EXPECT_THROW(exp.sweep(), ConfigError);
 }
 
+TEST(SimExperiment, RefusesDuplicatePointNames) {
+  // Reports are told apart by their point name, and trace_point selects by
+  // it: two columns with the same label would make both ambiguous.
+  const auto expect_refused = [](const sim::Experiment& exp,
+                                 const std::string& name) {
+    try {
+      exp.sweep();
+      FAIL() << "sweep() should have refused duplicate '" << name << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + name + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  const Model m = zoo::squeezenet_v11(48);
+  sim::Experiment twice;
+  twice.model(m).model(m);
+  expect_refused(twice, "squeezenet_v1.1");
+
+  serve::ServeSpec spec;
+  spec.arrivals.horizon_cycles = 1'000'000;
+  spec.classes = {{"t", m, 1.0, 0}};
+  serve::ServeSpec reseeded = spec;
+  reseeded.arrivals.seed = spec.arrivals.seed + 1;
+  sim::Experiment seeds;
+  seeds.workload(sim::Serve{spec}).workload(sim::Serve{reseeded});
+  expect_refused(seeds, "t");
+}
+
 TEST(SimExperiment, MixedWorkloadKindsInOneGrid) {
   // One grid, every workload kind: each column keeps its call-order slot
   // and its own label, the Campaign on the fault-free column runs as a

@@ -82,9 +82,9 @@ TEST_F(VmFixture, PtwSerializesConcurrentWalks) {
 
 TEST(Tlb, HitAfterFill) {
   Tlb tlb(TlbConfig{.entries = 4});
-  EXPECT_FALSE(tlb.lookup(7, false, 0).has_value());
+  EXPECT_FALSE(tlb.lookup(7, false).has_value());
   tlb.fill(7, 0x9000);
-  const auto hit = tlb.lookup(7, false, 1);
+  const auto hit = tlb.lookup(7, false);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 0x9000u);
 }
@@ -93,11 +93,11 @@ TEST(Tlb, LruEvictionOrder) {
   Tlb tlb(TlbConfig{.entries = 2});
   tlb.fill(1, 0x100);
   tlb.fill(2, 0x200);
-  tlb.lookup(1, false, 0);  // touch 1
-  tlb.fill(3, 0x300);       // evicts 2
-  EXPECT_TRUE(tlb.lookup(1, false, 1).has_value());
-  EXPECT_FALSE(tlb.lookup(2, false, 2).has_value());
-  EXPECT_TRUE(tlb.lookup(3, false, 3).has_value());
+  tlb.lookup(1, false);  // touch 1
+  tlb.fill(3, 0x300);    // evicts 2
+  EXPECT_TRUE(tlb.lookup(1, false).has_value());
+  EXPECT_FALSE(tlb.lookup(2, false).has_value());
+  EXPECT_TRUE(tlb.lookup(3, false).has_value());
 }
 
 TEST(Tlb, SetAssociativeMapsVpnsToSets) {
@@ -106,9 +106,9 @@ TEST(Tlb, SetAssociativeMapsVpnsToSets) {
   tlb.fill(0, 0x100);
   tlb.fill(2, 0x200);
   tlb.fill(4, 0x300);  // set 0 again: evicts LRU (vpn 0)
-  EXPECT_FALSE(tlb.lookup(0, false, 0).has_value());
-  EXPECT_TRUE(tlb.lookup(2, false, 1).has_value());
-  EXPECT_TRUE(tlb.lookup(4, false, 2).has_value());
+  EXPECT_FALSE(tlb.lookup(0, false).has_value());
+  EXPECT_TRUE(tlb.lookup(2, false).has_value());
+  EXPECT_TRUE(tlb.lookup(4, false).has_value());
 }
 
 TEST(Tlb, FlushEmptiesEverything) {
@@ -116,31 +116,22 @@ TEST(Tlb, FlushEmptiesEverything) {
   for (std::uint64_t v = 0; v < 8; ++v) tlb.fill(v, v << 12);
   tlb.flush();
   for (std::uint64_t v = 0; v < 8; ++v) {
-    EXPECT_FALSE(tlb.lookup(v, false, 0).has_value());
+    EXPECT_FALSE(tlb.lookup(v, false).has_value());
   }
 }
 
 TEST(Tlb, ConsecutiveSamePageTracking) {
   Tlb tlb(TlbConfig{.entries = 8});
   // reads: pages 1,1,1,2 => 2 of 3 consecutive pairs same.
-  tlb.lookup(1, false, 0);
-  tlb.lookup(1, false, 1);
-  tlb.lookup(1, false, 2);
-  tlb.lookup(2, false, 3);
+  tlb.lookup(1, false);
+  tlb.lookup(1, false);
+  tlb.lookup(1, false);
+  tlb.lookup(2, false);
   EXPECT_NEAR(tlb.stats().consecutive_same_page_rate(false), 2.0 / 3.0, 1e-9);
   // Writes tracked separately.
-  tlb.lookup(5, true, 4);
-  tlb.lookup(5, true, 5);
+  tlb.lookup(5, true);
+  tlb.lookup(5, true);
   EXPECT_NEAR(tlb.stats().consecutive_same_page_rate(true), 1.0, 1e-9);
-}
-
-TEST(Tlb, MissSeriesRecordsOverTime) {
-  Tlb tlb(TlbConfig{.entries = 2}, "t", /*profile_window=*/100);
-  for (Cycle t = 0; t < 100; ++t) tlb.lookup(t, false, t);  // all miss
-  tlb.fill(1000, 1);
-  for (Cycle t = 100; t < 200; ++t) tlb.lookup(1000, false, t);  // all hit
-  EXPECT_DOUBLE_EQ(tlb.miss_series().rate(0), 1.0);
-  EXPECT_DOUBLE_EQ(tlb.miss_series().rate(1), 0.0);
 }
 
 struct TranslationFixture : VmFixture {
@@ -247,10 +238,10 @@ TEST_F(TranslationFixture, EffectiveHitRateCountsFilters) {
 TEST(TlbFastPath, SamePageStreakHitsFilter) {
   Tlb tlb(TlbConfig{.entries = 4});
   tlb.fill(10, 0x9000);
-  EXPECT_EQ(tlb.lookup(10, false, 0), 0x9000u);  // scan hit, arms the filter
+  EXPECT_EQ(tlb.lookup(10, false), 0x9000u);  // scan hit, arms the filter
   EXPECT_EQ(tlb.stats().fastpath_hits, 0u);
-  EXPECT_EQ(tlb.lookup(10, false, 1), 0x9000u);
-  EXPECT_EQ(tlb.lookup(10, false, 2), 0x9000u);
+  EXPECT_EQ(tlb.lookup(10, false), 0x9000u);
+  EXPECT_EQ(tlb.lookup(10, false), 0x9000u);
   EXPECT_EQ(tlb.stats().fastpath_hits, 2u);
   EXPECT_EQ(tlb.stats().hits, 3u);  // fast hits are still architectural hits
   EXPECT_EQ(tlb.stats().misses, 0u);
@@ -260,46 +251,46 @@ TEST(TlbFastPath, PageCrossingInvalidatesFilter) {
   Tlb tlb(TlbConfig{.entries = 4});
   tlb.fill(10, 0x9000);
   tlb.fill(11, 0xa000);
-  tlb.lookup(10, false, 0);                      // arms filter on vpn 10
-  EXPECT_EQ(tlb.lookup(10, false, 1), 0x9000u);  // fast
+  tlb.lookup(10, false);                      // arms filter on vpn 10
+  EXPECT_EQ(tlb.lookup(10, false), 0x9000u);  // fast
   EXPECT_EQ(tlb.stats().fastpath_hits, 1u);
-  EXPECT_EQ(tlb.lookup(11, false, 2), 0xa000u);  // page cross: full scan
+  EXPECT_EQ(tlb.lookup(11, false), 0xa000u);  // page cross: full scan
   EXPECT_EQ(tlb.stats().fastpath_hits, 1u);
   // Filter now tracks vpn 11; returning to 10 scans again.
-  EXPECT_EQ(tlb.lookup(10, false, 3), 0x9000u);
+  EXPECT_EQ(tlb.lookup(10, false), 0x9000u);
   EXPECT_EQ(tlb.stats().fastpath_hits, 1u);
-  EXPECT_EQ(tlb.lookup(10, false, 4), 0x9000u);  // fast again
+  EXPECT_EQ(tlb.lookup(10, false), 0x9000u);  // fast again
   EXPECT_EQ(tlb.stats().fastpath_hits, 2u);
 }
 
 TEST(TlbFastPath, ShootdownClearsFilter) {
   Tlb tlb(TlbConfig{.entries = 4});
   tlb.fill(10, 0x9000);
-  tlb.lookup(10, false, 0);
-  tlb.lookup(10, false, 1);
+  tlb.lookup(10, false);
+  tlb.lookup(10, false);
   EXPECT_EQ(tlb.stats().fastpath_hits, 1u);
   tlb.flush();
   tlb.fill(10, 0x9000);
   // Post-flush streak must re-scan before the filter re-arms, even though
   // the same vpn is re-installed.
-  EXPECT_EQ(tlb.lookup(10, false, 2), 0x9000u);
+  EXPECT_EQ(tlb.lookup(10, false), 0x9000u);
   EXPECT_EQ(tlb.stats().fastpath_hits, 1u);
-  EXPECT_EQ(tlb.lookup(10, false, 3), 0x9000u);
+  EXPECT_EQ(tlb.lookup(10, false), 0x9000u);
   EXPECT_EQ(tlb.stats().fastpath_hits, 2u);
 }
 
 TEST(TlbFastPath, StaleFilterAfterEvictionFallsThrough) {
   Tlb tlb(TlbConfig{.entries = 2});
   tlb.fill(1, 0x1000);
-  tlb.lookup(1, false, 0);
-  tlb.lookup(1, false, 1);  // filter armed on vpn 1
+  tlb.lookup(1, false);
+  tlb.lookup(1, false);  // filter armed on vpn 1
   tlb.fill(2, 0x2000);
-  tlb.lookup(2, false, 2);
+  tlb.lookup(2, false);
   tlb.fill(3, 0x3000);  // evicts vpn 1 (LRU)
   const std::uint64_t fast_before = tlb.stats().fastpath_hits;
   // Filter still remembers vpn 1's slot, but the entry now holds vpn 3: the
   // fast path must re-validate and report an architectural miss.
-  EXPECT_FALSE(tlb.lookup(1, false, 3).has_value());
+  EXPECT_FALSE(tlb.lookup(1, false).has_value());
   EXPECT_EQ(tlb.stats().fastpath_hits, fast_before);
 }
 
@@ -307,28 +298,28 @@ TEST(TlbFastPath, FastHitsRefreshLru) {
   Tlb tlb(TlbConfig{.entries = 2});
   tlb.fill(1, 0x1000);
   tlb.fill(2, 0x2000);
-  tlb.lookup(1, true, 0);   // scan hit: arms the *write* filter on vpn 1
-  tlb.lookup(2, false, 1);  // scan hit: vpn 2's stamp now exceeds vpn 1's
-  tlb.lookup(1, true, 2);   // fast hit; must restamp vpn 1 above vpn 2
+  tlb.lookup(1, true);   // scan hit: arms the *write* filter on vpn 1
+  tlb.lookup(2, false);  // scan hit: vpn 2's stamp now exceeds vpn 1's
+  tlb.lookup(1, true);   // fast hit; must restamp vpn 1 above vpn 2
   EXPECT_EQ(tlb.stats().fastpath_hits, 1u);
   // If the fast path failed to refresh LRU, vpn 1 (stale stamp) would be the
   // victim here instead of vpn 2.
   tlb.fill(3, 0x3000);
-  EXPECT_TRUE(tlb.lookup(1, false, 3).has_value());
-  EXPECT_FALSE(tlb.lookup(2, false, 4).has_value());
+  EXPECT_TRUE(tlb.lookup(1, false).has_value());
+  EXPECT_FALSE(tlb.lookup(2, false).has_value());
 }
 
 TEST(TlbFastPath, ReadAndWriteStreamsAreIndependent) {
   Tlb tlb(TlbConfig{.entries = 4});
   tlb.fill(10, 0x9000);
   tlb.fill(20, 0xb000);
-  tlb.lookup(10, false, 0);  // arm read filter
-  tlb.lookup(20, true, 1);   // arm write filter
+  tlb.lookup(10, false);  // arm read filter
+  tlb.lookup(20, true);   // arm write filter
   // Interleaved same-page streaks stay fast in both streams.
-  EXPECT_EQ(tlb.lookup(10, false, 2), 0x9000u);
-  EXPECT_EQ(tlb.lookup(20, true, 3), 0xb000u);
-  EXPECT_EQ(tlb.lookup(10, false, 4), 0x9000u);
-  EXPECT_EQ(tlb.lookup(20, true, 5), 0xb000u);
+  EXPECT_EQ(tlb.lookup(10, false), 0x9000u);
+  EXPECT_EQ(tlb.lookup(20, true), 0xb000u);
+  EXPECT_EQ(tlb.lookup(10, false), 0x9000u);
+  EXPECT_EQ(tlb.lookup(20, true), 0xb000u);
   EXPECT_EQ(tlb.stats().fastpath_hits, 4u);
 }
 
