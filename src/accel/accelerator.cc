@@ -17,7 +17,6 @@ Accelerator::Accelerator(const GemminiConfig& cfg, MemorySystem& mem,
       translation_(cfg_.translation, ptw, obs),
       dma_(cfg_, mem_, translation_, sp_, acc_, requestor, obs),
       exec_(cfg_, sp_, acc_, obs),
-      hazards_(cfg_.sp_rows(), cfg_.acc_rows()),
       rob_(cfg_.rob_entries, 0) {
   cfg_.validate();
 }
@@ -51,12 +50,11 @@ Cycle Accelerator::rob_gate(Cycle start) {
   return std::max(start, rob_[rob_head_]);
 }
 
-void Accelerator::retire(Cycle start, Cycle end) {
+void Accelerator::retire(Cycle end) {
   rob_[rob_head_] = end;
   rob_head_ = (rob_head_ + 1) % rob_.size();
   frontier_ = std::max(frontier_, end);
   ++report_.instructions;
-  (void)start;
 }
 
 void Accelerator::step() {
@@ -101,10 +99,9 @@ void Accelerator::exec_one(const Instruction& inst) {
       break;
     }
     case Opcode::kMvin: {
-      const bool acc_dst = inst.local.is_acc();
+      LocalMemory& dst = local_memory(inst.local, sp_, acc_);
       Cycle start = std::max(start_at_, ld_free_);
-      start = std::max(
-          start, hazards_.write_ready(acc_dst, inst.local.row(), inst.rows));
+      start = std::max(start, dst.write_ready(inst.local.row(), inst.rows));
       start = rob_gate(start);
       const auto& ch = ld_[inst.ld_channel];
       const DmaEngine::XferResult xr =
@@ -112,8 +109,8 @@ void Accelerator::exec_one(const Instruction& inst) {
                     inst.rows, inst.cols, start, functional_, ch.int4);
       // Dependents wait for the data; the load pipe itself frees as soon as
       // the last request has issued (the DMA is pipelined across MVINs).
-      hazards_.record_write(acc_dst, inst.local.row(), inst.rows,
-                            xr.issue_done, xr.data_done);
+      dst.record_write(inst.local.row(), inst.rows, xr.issue_done,
+                       xr.data_done);
       ld_free_ = xr.issue_done;
       report_.load_busy += xr.issue_done - start;
       if (tracer_) {
@@ -121,22 +118,20 @@ void Accelerator::exec_one(const Instruction& inst) {
                       static_cast<std::uint64_t>(inst.rows) * inst.cols *
                           cfg_.input_bytes());
       }
-      retire(start, xr.data_done);
+      retire(xr.data_done);
       break;
     }
     case Opcode::kMvout: {
-      const bool acc_src = inst.local.is_acc();
+      LocalMemory& src = local_memory(inst.local, sp_, acc_);
       Cycle start = std::max(start_at_, st_free_);
-      start = std::max(
-          start, hazards_.read_ready(acc_src, inst.local.row(), inst.rows));
+      start = std::max(start, src.read_ready(inst.local.row(), inst.rows));
       start = rob_gate(start);
       const DmaEngine::XferResult xr = dma_.mvout(
           *as_, inst.dram_addr, st_stride_, inst.local, inst.rows, inst.cols,
           ex_state_.out_shift, ex_state_.activation, start, functional_);
       // Local rows are free for reuse once read into the store stream;
       // the DRAM write drains in the background (but FENCE waits for it).
-      hazards_.record_read(acc_src, inst.local.row(), inst.rows,
-                           xr.issue_done);
+      src.record_read(inst.local.row(), inst.rows, xr.issue_done);
       st_free_ = xr.issue_done;
       report_.store_busy += xr.issue_done - start;
       if (tracer_) {
@@ -144,43 +139,40 @@ void Accelerator::exec_one(const Instruction& inst) {
                       static_cast<std::uint64_t>(inst.rows) * inst.cols *
                           cfg_.input_bytes());
       }
-      retire(start, xr.data_done);
+      retire(xr.data_done);
       break;
     }
     case Opcode::kPreload: {
       Cycle start = std::max(start_at_, ex_free_);
       if (!inst.local.is_garbage()) {
-        start = std::max(start, hazards_.read_ready(false, inst.local.row(),
-                                                    inst.rows));
+        start = std::max(start, sp_.read_ready(inst.local.row(), inst.rows));
       }
       start = rob_gate(start);
       const Cycle end = exec_.preload(inst, start, functional_);
       if (!inst.local.is_garbage()) {
-        hazards_.record_read(false, inst.local.row(), inst.rows, end);
+        sp_.record_read(inst.local.row(), inst.rows, end);
       }
       ex_free_ = end;
       report_.exec_busy += end - start;
       if (tracer_) tracer_->span(trace::EventKind::kPreload, start, end);
-      retire(start, end);
+      retire(end);
       break;
     }
     case Opcode::kComputePreloaded:
     case Opcode::kComputeAccumulated: {
       Cycle start = std::max(start_at_, ex_free_);
       if (!inst.local.is_garbage()) {
-        start = std::max(start, hazards_.read_ready(false, inst.local.row(),
-                                                    inst.rows));
+        start = std::max(start, sp_.read_ready(inst.local.row(), inst.rows));
       }
+      LocalMemory& d = local_memory(inst.local2, sp_, acc_);
       if (!inst.local2.is_garbage()) {
-        start = std::max(start,
-                         hazards_.read_ready(inst.local2.is_acc(),
-                                             inst.local2.row(), inst.rows2));
+        start = std::max(start, d.read_ready(inst.local2.row(), inst.rows2));
       }
       const LocalAddr c = exec_.c_dest();
+      LocalMemory& dest = local_memory(c, sp_, acc_);
       const unsigned c_rows = exec_.c_rows() ? exec_.c_rows() : inst.rows;
       if (!c.is_garbage()) {
-        start = std::max(
-            start, hazards_.write_ready(c.is_acc(), c.row(), c_rows));
+        start = std::max(start, dest.write_ready(c.row(), c_rows));
       }
       start = rob_gate(start);
       const std::uint64_t macs_before = report_.macs;
@@ -192,18 +184,15 @@ void Accelerator::exec_one(const Instruction& inst) {
       }
       ++report_.tiles;
       if (!inst.local.is_garbage()) {
-        hazards_.record_read(false, inst.local.row(), inst.rows, end);
+        sp_.record_read(inst.local.row(), inst.rows, end);
       }
       if (!inst.local2.is_garbage()) {
-        hazards_.record_read(inst.local2.is_acc(), inst.local2.row(),
-                             inst.rows2, end);
+        d.record_read(inst.local2.row(), inst.rows2, end);
       }
-      if (!c.is_garbage()) {
-        hazards_.record_write(c.is_acc(), c.row(), c_rows, end, end);
-      }
+      if (!c.is_garbage()) dest.record_write(c.row(), c_rows, end, end);
       ex_free_ = end;
       report_.exec_busy += end - start;
-      retire(start, end);
+      retire(end);
       break;
     }
     case Opcode::kFence: {
@@ -231,7 +220,6 @@ void Accelerator::reset_time() {
   sp_.reset_time();
   acc_.reset_time();
   dma_.reset_time();
-  hazards_.reset();
   ld_free_ = ex_free_ = st_free_ = frontier_ = 0;
   std::fill(rob_.begin(), rob_.end(), 0);
   rob_head_ = 0;

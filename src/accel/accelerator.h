@@ -3,10 +3,11 @@
 //
 // A three-pipeline controller (load / execute / store) walks the RoCC
 // program in order, issuing each instruction as soon as (a) its pipeline is
-// free, (b) its operand rows clear RAW/WAR/WAW hazards, and (c) a ROB slot
-// is available. Independent loads, computes and stores therefore overlap —
-// the double-buffering emitted by the runtime turns into real latency
-// hiding, exactly as in the RTL's dependency-managed queues.
+// free, (b) its operand rows clear RAW/WAR/WAW hazards (each LocalMemory
+// keeps its rows' hazard timelines), and (c) a ROB slot is available.
+// Independent loads, computes and stores therefore overlap — the
+// double-buffering emitted by the runtime turns into real latency hiding,
+// exactly as in the RTL's dependency-managed queues.
 //
 // The accelerator supports incremental stepping so multiple accelerators can
 // co-simulate against one shared memory system (multi-core SoCs, Fig. 9).
@@ -18,8 +19,6 @@
 #include "src/accel/accumulator.h"
 #include "src/accel/dma.h"
 #include "src/accel/exec_unit.h"
-#include "src/accel/hazards.h"
-#include "src/accel/scratchpad.h"
 #include "src/arch/config.h"
 #include "src/isa/isa.h"
 #include "src/mem/memsys.h"
@@ -105,7 +104,7 @@ class Accelerator {
  private:
   void exec_one(const Instruction& inst);
   Cycle rob_gate(Cycle start);
-  void retire(Cycle start, Cycle end);
+  void retire(Cycle end);
 
   GemminiConfig cfg_;
   MemorySystem& mem_;
@@ -117,7 +116,6 @@ class Accelerator {
   TranslationSystem translation_;
   DmaEngine dma_;
   ExecUnit exec_;
-  HazardTracker hazards_;
 
   // CONFIG state (program order).
   struct LdChannel {

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 
-#include "src/fault/fault.h"
-
 namespace gemmini {
 
 void Accumulator::write_row_i32(std::uint64_t row, const std::int32_t* src,
                                 unsigned n, bool accumulate) {
-  GEMMINI_CHECK(row < rows_ && n <= dim_ && dtype_ == DType::kInt8);
-  std::int32_t* dst = i32_.data() + row * dim_;
+  GEMMINI_CHECK(n <= dim_ && dtype_ == DType::kInt8);
+  auto* dst = reinterpret_cast<std::int32_t*>(row_ptr(row));
   if (accumulate) {
     for (unsigned i = 0; i < n; ++i) {
       dst[i] = saturating_add_i32(dst[i], src[i]);
@@ -21,8 +19,8 @@ void Accumulator::write_row_i32(std::uint64_t row, const std::int32_t* src,
 
 void Accumulator::write_row_f32(std::uint64_t row, const float* src,
                                 unsigned n, bool accumulate) {
-  GEMMINI_CHECK(row < rows_ && n <= dim_ && dtype_ == DType::kFp32);
-  float* dst = f32_.data() + row * dim_;
+  GEMMINI_CHECK(n <= dim_ && dtype_ == DType::kFp32);
+  auto* dst = reinterpret_cast<float*>(row_ptr(row));
   if (accumulate) {
     for (unsigned i = 0; i < n; ++i) dst[i] += src[i];
   } else {
@@ -50,30 +48,6 @@ void Accumulator::readout_f32(std::uint64_t row, unsigned n, Activation act,
   for (unsigned i = 0; i < n; ++i) {
     dst[i] = apply_activation_f32(src[i], act);
   }
-}
-
-Cycle Accumulator::reserve(std::uint64_t row, std::uint64_t nrows, Cycle t,
-                           Cycle cycles) {
-  GEMMINI_CHECK_MSG(row + nrows <= rows_,
-                    "accumulator range [" << row << ", " << row + nrows
-                                          << ") exceeds " << rows_);
-  const unsigned first = bank_of(row);
-  const unsigned last = nrows == 0 ? first : bank_of(row + nrows - 1);
-  Cycle start = t;
-  for (unsigned b = first; b <= last; ++b) {
-    start = std::max(start, bank_busy_[b]);
-  }
-  const Cycle done = start + cycles;
-  for (unsigned b = first; b <= last; ++b) bank_busy_[b] = done;
-  stats_.rows += nrows;
-  // Fault layer: one flip draw per reservation over the touched region.
-  if (injector_ && nrows > 0) {
-    std::uint64_t bit = 0;
-    if (injector_->draw_sram_flip(true, region_bits(nrows), done, &bit)) {
-      corrupt_bit(row, bit);
-    }
-  }
-  return done;
 }
 
 }  // namespace gemmini

@@ -99,6 +99,7 @@ DmaEngine::XferResult DmaEngine::mvin(const AddressSpace& as, VAddr dram,
       int4 ? (static_cast<std::uint64_t>(cols) + 1) / 2
            : static_cast<std::uint64_t>(cols) * elem;
 
+  LocalMemory& local = local_memory(dst, sp_, acc_);
   Cycle issue = start;
   Cycle done = start;
   // Consecutive rows that are contiguous in DRAM (stride == row width)
@@ -109,13 +110,7 @@ DmaEngine::XferResult DmaEngine::mvin(const AddressSpace& as, VAddr dram,
     const StreamResult sr = stream(
         as, dram, row_bytes * rows, /*write=*/false, issue);
     issue = sr.next_issue;
-    Cycle local_done;
-    if (dst.is_acc()) {
-      local_done = acc_.reserve(dst.row(), rows, sr.done, 1);
-    } else {
-      local_done = sp_.reserve(dst.row(), rows, sr.done, 1);
-    }
-    done = std::max(done, local_done);
+    done = std::max(done, local.reserve(dst.row(), rows, sr.done, 1));
   } else {
     for (unsigned r = 0; r < rows; ++r) {
       const VAddr va = dram + static_cast<std::uint64_t>(r) * stride_bytes;
@@ -124,13 +119,7 @@ DmaEngine::XferResult DmaEngine::mvin(const AddressSpace& as, VAddr dram,
       issue = sr.next_issue;
 
       // Local write happens when the data lands.
-      Cycle row_done;
-      if (dst.is_acc()) {
-        row_done = acc_.reserve(dst.row() + r, 1, sr.done, 1);
-      } else {
-        row_done = sp_.reserve(dst.row() + r, 1, sr.done, 1);
-      }
-      done = std::max(done, row_done);
+      done = std::max(done, local.reserve(dst.row() + r, 1, sr.done, 1));
     }
   }
 
@@ -235,17 +224,13 @@ DmaEngine::XferResult DmaEngine::mvout(const AddressSpace& as, VAddr dram,
   const std::size_t elem = cfg_.input_bytes();
   const std::uint64_t row_bytes = static_cast<std::uint64_t>(cols) * elem;
 
+  LocalMemory& local = local_memory(src, sp_, acc_);
   Cycle issue = start;
   Cycle done = start;
   // Contiguous output rows coalesce into one burst (see mvin).
   const bool contiguous = stride_bytes == row_bytes && rows > 1;
   if (contiguous) {
-    Cycle read_done;
-    if (src.is_acc()) {
-      read_done = acc_.reserve(src.row(), rows, issue, rows);
-    } else {
-      read_done = sp_.reserve(src.row(), rows, issue, rows);
-    }
+    const Cycle read_done = local.reserve(src.row(), rows, issue, rows);
     const StreamResult sr =
         stream(as, dram, row_bytes * rows, /*write=*/true,
                read_done - rows + 1);
@@ -255,12 +240,7 @@ DmaEngine::XferResult DmaEngine::mvout(const AddressSpace& as, VAddr dram,
     for (unsigned r = 0; r < rows; ++r) {
       const VAddr va = dram + static_cast<std::uint64_t>(r) * stride_bytes;
       // Local read first (1 cycle through the read-out pipeline)...
-      Cycle read_done;
-      if (src.is_acc()) {
-        read_done = acc_.reserve(src.row() + r, 1, issue, 1);
-      } else {
-        read_done = sp_.reserve(src.row() + r, 1, issue, 1);
-      }
+      const Cycle read_done = local.reserve(src.row() + r, 1, issue, 1);
       // ...then the write stream to memory.
       const StreamResult sr =
           stream(as, va, row_bytes, /*write=*/true, read_done);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/accel/accumulator.h"
-#include "src/accel/scratchpad.h"
 #include "src/arch/config.h"
 #include "src/base/observers.h"
 #include "src/base/types.h"

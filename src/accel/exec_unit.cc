@@ -120,15 +120,10 @@ Cycle ExecUnit::compute(const Instruction& inst, const ExConfigState& ex,
     lat += dim;  // extra pass through the transposer pipeline
   }
   t += lat;
-  if (!c_dest_.is_garbage()) {
-    if (c_dest_.is_acc()) {
-      t = acc_.reserve(c_dest_.row(), c_rows_ ? c_rows_ : m, t - 1, 1);
-    } else {
-      t = sp_.reserve(c_dest_.row(), c_rows_ ? c_rows_ : m, t - 1, 1);
-    }
-  }
-
-  if (!functional || c_dest_.is_garbage()) return t;
+  if (c_dest_.is_garbage()) return t;
+  LocalMemory& dest = local_memory(c_dest_, sp_, acc_);
+  t = dest.reserve(c_dest_.row(), c_rows_ ? c_rows_ : m, t - 1, 1);
+  if (!functional) return t;
 
   // ---- Functional matmul: C = op(A) x B + D --------------------------------
   // Per output row: gather op(A) row r once into a contiguous staging buffer,
@@ -212,19 +207,10 @@ Cycle ExecUnit::compute(const Instruction& inst, const ExConfigState& ex,
   // just-written tile (after the commit, so the flip survives the write).
   // Draws happen only on functional tile commits, so draw order is fixed
   // for a given workload.
-  if (injector_) {
-    std::uint64_t bit = 0;
-    if (c_dest_.is_acc()) {
-      if (injector_->draw_exec_tile_error(acc_.region_bits(out_rows), t,
-                                          &bit)) {
-        acc_.corrupt_bit(c_dest_.row(), bit);
-      }
-    } else {
-      if (injector_->draw_exec_tile_error(out_rows * sp_.row_bytes() * 8, t,
-                                          &bit)) {
-        sp_.corrupt_bit(c_dest_.row(), bit);
-      }
-    }
+  std::uint64_t bit = 0;
+  if (injector_ &&
+      injector_->draw_exec_tile_error(dest.region_bits(out_rows), t, &bit)) {
+    dest.corrupt_bit(c_dest_.row(), bit);
   }
   return t;
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/accel/accumulator.h"
-#include "src/accel/scratchpad.h"
 #include "src/arch/config.h"
 #include "src/arch/spatial_array.h"
 #include "src/base/observers.h"

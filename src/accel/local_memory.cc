@@ -1,4 +1,4 @@
-#include "src/accel/scratchpad.h"
+#include "src/accel/local_memory.h"
 
 #include <algorithm>
 
@@ -6,11 +6,11 @@
 
 namespace gemmini {
 
-Cycle Scratchpad::reserve(std::uint64_t row, std::uint64_t nrows, Cycle t,
-                          Cycle cycles) {
+Cycle LocalMemory::reserve(std::uint64_t row, std::uint64_t nrows, Cycle t,
+                           Cycle cycles) {
   GEMMINI_CHECK_MSG(row + nrows <= rows_,
-                    "scratchpad range [" << row << ", " << row + nrows
-                                         << ") exceeds " << rows_ << " rows");
+                    name() << " range [" << row << ", " << row + nrows
+                           << ") exceeds " << rows_ << " rows");
   const unsigned first = bank_of(row);
   const unsigned last = nrows == 0 ? first : bank_of(row + nrows - 1);
   Cycle start = t;
@@ -27,11 +27,19 @@ Cycle Scratchpad::reserve(std::uint64_t row, std::uint64_t nrows, Cycle t,
   // reservation — an access-correlated model, not time-based decay).
   if (injector_ && nrows > 0) {
     std::uint64_t bit = 0;
-    if (injector_->draw_sram_flip(false, nrows * row_bytes_ * 8, done, &bit)) {
+    if (injector_->draw_sram_flip(accumulator_, region_bits(nrows), done,
+                                  &bit)) {
       corrupt_bit(row, bit);
     }
   }
   return done;
+}
+
+void LocalMemory::reset_time() {
+  for (std::vector<Cycle>* v :
+       {&bank_busy_, &write_issue_, &write_data_, &read_end_}) {
+    std::fill(v->begin(), v->end(), 0);
+  }
 }
 
 }  // namespace gemmini

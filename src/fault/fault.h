@@ -14,7 +14,7 @@
 //     flips under ECC are *detected-uncorrectable*: the corruption persists
 //     in PhysMem (DRAM keeps the bad word until overwritten) and is counted.
 //     With ECC off every flip is *silent* and persists.
-//   * Scratchpad / accumulator SRAM flips at buffer reserve time.
+//   * Scratchpad / accumulator SRAM flips at LocalMemory::reserve.
 //   * Translation faults at TranslationSystem::translate — a transient fault
 //     re-walks, charged as a fixed latency penalty.
 //   * DMA transfer timeouts at DmaEngine::stream — bounded retry with

@@ -414,7 +414,10 @@ class WorkloadBuilder {
       for (unsigned g = 0; g < kGroups; ++g) {
         const auto& slot = acct_[l * kGroups + g];
         sim::LayerIntensity li;
-        li.name = "L" + std::to_string(l) + "." + group_name(g);
+        li.name = "L";
+        li.name += std::to_string(l);
+        li.name += '.';
+        li.name += group_name(g);
         li.macs = slot[0];
         li.dram_bytes = slot[1];
         li.macs_per_byte = slot[1] == 0 ? 0.0

@@ -56,15 +56,6 @@ Cycle MemorySystem::access(PAddr addr, std::uint64_t bytes, bool write,
   return done;
 }
 
-Cycle MemorySystem::access_uncached(PAddr addr, std::uint64_t bytes,
-                                    bool write, Cycle t,
-                                    RequestorId requestor) {
-  (void)write;
-  const Cycle at_bus = sysbus_.transfer(t, bytes, requestor);
-  const Cycle at_dram = membus_.transfer(at_bus, bytes, requestor);
-  return dram_.access(addr, bytes, at_dram, requestor);
-}
-
 void MemorySystem::reset_time() {
   sysbus_.reset_time();
   membus_.reset_time();

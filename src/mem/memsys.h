@@ -61,11 +61,6 @@ class MemorySystem {
   Cycle access(PAddr addr, std::uint64_t bytes, bool write, Cycle t,
                RequestorId requestor);
 
-  /// An access that bypasses the L2 (uncached), e.g. MMIO. Unused by the
-  /// main flows but part of the SoC substrate.
-  Cycle access_uncached(PAddr addr, std::uint64_t bytes, bool write, Cycle t,
-                        RequestorId requestor);
-
   PhysMem& phys() { return phys_; }
   const PhysMem& phys() const { return phys_; }
 

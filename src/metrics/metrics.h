@@ -152,9 +152,6 @@ struct MetricsConfig {
   /// Sampling window in cycles; 0 disables the time-series (registry
   /// totals and histograms still collect).
   Cycle sample_interval_cycles = 0;
-  /// When non-empty, Session::run writes the OpenMetrics text document
-  /// here after each run.
-  std::string export_path;
 
   static MetricsConfig enabled_default() {
     MetricsConfig cfg;

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "src/base/stats.h"
-#include "src/metrics/openmetrics.h"
 #include "src/sim/parallel.h"
 #include "src/trace/perfetto.h"
 
@@ -423,10 +422,6 @@ sim::Report Server::run() {
     publish();
     met->finish_run(st.makespan);
     rep.metrics = sim::snapshot_metrics(*met);
-    if (!opts_.metrics.export_path.empty()) {
-      metrics::write_openmetrics(met->registry(),
-                                 opts_.metrics.export_path);
-    }
   }
 
   if (spec_.arrivals.kind == ArrivalKind::kTrace) {

@@ -77,9 +77,7 @@ const trace::Tracer& Session::trace_buffer() const {
 trace::PerfettoOptions Session::perfetto_options(int indent) const {
   trace::PerfettoOptions opts;
   opts.label = config().name;
-  if (traced_plan_.has_value()) {
-    opts.label += "/" + traced_plan_->model().name();
-  }
+  if (last_plan_.has_value()) opts.label += "/" + last_plan_->model().name();
   opts.indent = indent;
   // When the sampler ran, its timelines ride along as counter tracks
   // beside the cycle-level span tracks (name-ordered: deterministic).
@@ -131,9 +129,9 @@ bool Session::write_trace(const std::string& path, int indent) const {
 trace::BottleneckReport Session::bottlenecks(unsigned core) const {
   GEMMINI_CHECK_MSG(tracing(),
                     "bottlenecks(): session was built without .trace()");
-  GEMMINI_CHECK_MSG(traced_plan_.has_value(),
-                    "bottlenecks(): nothing run in this session yet");
-  return trace::attribute_bottlenecks(tracer_->snapshot(), *traced_plan_,
+  GEMMINI_CHECK_MSG(last_plan_.has_value(),
+                    "bottlenecks(): no plan run in this session yet");
+  return trace::attribute_bottlenecks(tracer_->snapshot(), *last_plan_,
                                       config().accel, config().mem, core,
                                       tracer_->dropped());
 }
@@ -260,7 +258,7 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
     // Drop accounting is exact and surfaces even when nothing could be
     // attributed (e.g. a fault storm wrapped the ring before a plan ran).
     rep.trace_dropped_events = tracer_->dropped();
-    if (traced_plan_.has_value()) {
+    if (last_plan_.has_value()) {
       trace::BottleneckReport bn = bottlenecks();
       rep.bottlenecks = std::move(bn.layers);
     }
@@ -285,10 +283,6 @@ Report Session::make_report(const std::string& model_name, Cycle cpu_baseline,
 
   if (metrics_) {
     rep.metrics = snapshot_metrics(*metrics_);
-    if (!metrics_->config().export_path.empty()) {
-      metrics::write_openmetrics(metrics_->registry(),
-                                 metrics_->config().export_path);
-    }
   }
 
   rep.estimates = estimates();
@@ -367,7 +361,7 @@ EnergyReport Session::derive_energy(Cycle cycles) const {
   return e;
 }
 
-Plan Session::build_plan(const Model& model, unsigned core) {
+Plan Session::plan(const Model& model, unsigned core) {
   if (core >= config().cores) {
     throw RuntimeError("sim::Session '" + config().name + "': plan() for core " +
                        std::to_string(core) + " on a " +
@@ -376,12 +370,6 @@ Plan Session::build_plan(const Model& model, unsigned core) {
   Plan p = lowering::build_plan(model, config().accel,
                                 soc_->address_space(core), opts_);
   p.core = core;
-  return p;
-}
-
-Plan Session::plan(const Model& model, unsigned core) {
-  Plan p = build_plan(model, core);
-  if (core == 0) last_plan_ = p;
   return p;
 }
 
@@ -404,7 +392,6 @@ Report Session::run(const Plan& plan) {
   begin_run();
   last_lowered_ = lowering::emit_stream(plan, config().accel, config().cpu);
   last_plan_ = plan;
-  if (tracing()) traced_plan_ = plan;
   const CoreResult r = soc_->run(last_lowered_.stream);
   Report rep = make_report(plan.model(), {r});
   rep.layer_intensity = plan_layer_intensity(plan);
@@ -418,6 +405,9 @@ Report Session::run_stream(const WorkStream& stream,
   // before this call are still live (and the caches are cold, as for any
   // other run).
   begin_run();
+  // The stream is the caller's: no plan or lowering of ours describes it.
+  last_plan_.reset();
+  last_lowered_ = LoweredModel{};
   const CoreResult r = soc_->run(stream);
   return make_report(model_name, cpu_baseline, {r});
 }
@@ -430,7 +420,7 @@ Report Session::run_multicore(const Model& model) {
   plans.reserve(config().cores);
   lowered.reserve(config().cores);
   for (unsigned c = 0; c < config().cores; ++c) {
-    plans.push_back(build_plan(model, c));
+    plans.push_back(plan(model, c));
     lowered.push_back(
         lowering::emit_stream(plans.back(), config().accel, config().cpu));
   }
@@ -438,7 +428,6 @@ Report Session::run_multicore(const Model& model) {
   const std::vector<CoreResult> results = soc_->run_parallel(streams);
   last_lowered_ = std::move(lowered.front());
   last_plan_ = std::move(plans.front());
-  if (tracing()) traced_plan_ = last_plan_;
   Report rep = make_report(model, results);
   rep.layer_intensity = plan_layer_intensity(*last_plan_);
   return rep;

@@ -194,17 +194,17 @@ class Session {
 
   /// Layout of the most recent run()'s core-0 lowering: buffer VAs for
   /// reading inputs/outputs back out of simulated memory in functional mode.
+  /// Empty after run_stream().
   const LoweredModel& last_lowered() const { return last_lowered_; }
 
-  /// The compile record behind the most recent plan()/run() (core 0).
-  /// GEMMINI_CHECKs that something has been compiled; probe with
-  /// has_last_plan() first on a fresh session.
+  /// The plan behind the most recent run() or run_multicore() (core 0).
+  /// GEMMINI_CHECKs that the last run executed a plan: plan() alone does not
+  /// set it, and run_stream() clears it.
   const Plan& last_plan() const {
     GEMMINI_CHECK_MSG(last_plan_.has_value(),
-                      "last_plan(): nothing compiled yet in this session");
+                      "last_plan(): the last run executed no plan");
     return *last_plan_;
   }
-  bool has_last_plan() const { return last_plan_.has_value(); }
 
   /// Estimates for this instantiation (also embedded in every Report).
   Estimates estimates() const;
@@ -226,8 +226,9 @@ class Session {
   /// one core (multicore runs record every core's events; attribute each
   /// core separately — note run_multicore compiles one identical plan per
   /// core, so the core-0 plan describes every core's layers). Always uses
-  /// the plan that run executed — a later plan() call (which compiles
-  /// without running) cannot mis-attribute the recorded events.
+  /// last_plan(): a later plan() call (which compiles without running)
+  /// cannot mis-attribute the recorded events, and a run_stream() has no
+  /// plan to attribute to.
   trace::BottleneckReport bottlenecks(unsigned core = 0) const;
 
   // ---- Metrics -------------------------------------------------------------
@@ -262,7 +263,6 @@ class Session {
  private:
   Session(const SocConfig& cfg, SessionOptions opts);
 
-  Plan build_plan(const Model& model, unsigned core);
   Report make_report(const Model& model,
                      const std::vector<CoreResult>& results);
   Report make_report(const std::string& model_name, Cycle cpu_baseline,
@@ -286,11 +286,10 @@ class Session {
   /// SoC finish of the most recent run (drives the Perfetto power track's
   /// final partial window).
   Cycle last_finish_ = 0;
-  /// The plan behind the events currently in the ring (snapshotted at run
-  /// time; only kept while tracing). last_plan_ is NOT used for
-  /// attribution — plan() overwrites it without touching the buffer.
-  std::optional<Plan> traced_plan_;
   std::unique_ptr<Soc> soc_;
+  /// The lowering and plan behind the most recent run (and so behind the
+  /// events in the trace ring). Empty after run_stream(), whose stream is
+  /// the caller's.
   LoweredModel last_lowered_;
   std::optional<Plan> last_plan_;
 };

@@ -179,8 +179,14 @@ TEST(FaultInjection, SramFlipCountersTrack) {
   sim::Session s = make_session(cfg);
   s.run(tiny_model());
   const auto& inj = s.soc().fault_injector()->stats();
-  EXPECT_GT(inj.sp_flips, 0u);
-  EXPECT_GT(inj.acc_flips, 0u);
+  // Exact counts and output bytes pin where the flips land: one draw per
+  // reservation, over the reserved rows' bytes of the chosen memory.
+  EXPECT_EQ(inj.sp_flips, 79u);
+  EXPECT_EQ(inj.acc_flips, 21u);
+  const std::vector<std::uint8_t> expected = {
+      187, 22, 18, 128, 255, 236, 243, 24, 127, 244, 0, 0, 0, 0, 0, 0,
+      0,   0,  0,  0,   0,   0,   0,   0,  0,   0,   0, 0, 0, 0, 0, 0};
+  EXPECT_EQ(read_output(s), expected);
 }
 
 TEST(FaultInjection, TranslationFaultsChargeFixedPenalty) {
@@ -207,8 +213,12 @@ TEST(FaultInjection, ExecTileErrorsCorruptComputedOutput) {
   cfg.faults.exec_tile_error_rate = 0.1;
   sim::Session s = make_session(cfg);
   s.run(m);
-  EXPECT_GT(s.soc().fault_injector()->stats().exec_tile_errors, 0u);
+  EXPECT_EQ(s.soc().fault_injector()->stats().exec_tile_errors, 24u);
   EXPECT_NE(read_output(s), golden_out);
+  const std::vector<std::uint8_t> expected = {
+      253, 128, 18, 229, 128, 237, 128, 23, 127, 245, 0, 0, 0, 0, 0, 0,
+      0,   0,   0,  0,   0,   0,   0,   0,  0,   0,   0, 0, 0, 0, 0, 0};
+  EXPECT_EQ(read_output(s), expected);
 }
 
 // ---- DMA retry --------------------------------------------------------------

@@ -422,11 +422,5 @@ TEST(MemSys, SharedRequestorsContend) {
   EXPECT_GT(b, a);
 }
 
-TEST(MemSys, UncachedBypassesL2) {
-  MemorySystem m(MemSysConfig{});
-  m.access_uncached(0x2000, 8, false, 0, {0});
-  EXPECT_EQ(m.l2().stats().hits + m.l2().stats().misses, 0u);
-}
-
 }  // namespace
 }  // namespace gemmini

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "src/dnn/zoo.h"
+#include "src/llm/decode.h"
 #include "src/sim/experiment.h"
 #include "src/sim/session.h"
 #include "src/trace/bottleneck.h"
@@ -272,6 +273,10 @@ TEST(Bottlenecks, LaterPlanDoesNotCorruptAttribution) {
   const trace::BottleneckReport after = s.bottlenecks();
   EXPECT_EQ(before, after);
   EXPECT_EQ(after.layers.front().kind, "conv");
+  // A later run_stream executes the caller's stream, not a plan: its
+  // events must not be attributed to the earlier model's layers.
+  const sim::Report decode = llm::run_decode(s, llm::DecodeConfig{});
+  EXPECT_TRUE(decode.bottlenecks.empty());
 }
 
 TEST(Bottlenecks, TopComponentsSortedDescending) {
