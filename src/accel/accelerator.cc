@@ -2,20 +2,17 @@
 
 #include <algorithm>
 
-#include "src/trace/trace.h"
-
 namespace gemmini {
 
 Accelerator::Accelerator(const GemminiConfig& cfg, MemorySystem& mem,
                          PageTableWalker& ptw, RequestorId requestor,
                          Observers obs)
     : cfg_(cfg),
-      mem_(mem),
       tracer_(obs.trace),
       sp_(cfg_, obs),
       acc_(cfg_, obs),
       translation_(cfg_.translation, ptw, obs),
-      dma_(cfg_, mem_, translation_, sp_, acc_, requestor, obs),
+      dma_(cfg_, mem, translation_, sp_, acc_, requestor, obs),
       exec_(cfg_, sp_, acc_, obs),
       rob_(cfg_.rob_entries, 0) {
   cfg_.validate();
@@ -28,21 +25,25 @@ void Accelerator::start(const Program* prog, const AddressSpace* as,
   as_ = as;
   pc_ = 0;
   prog_size_ = prog == nullptr ? 0 : prog->size();
-  start_at_ = std::max({t, ld_free_, ex_free_, st_free_});
+  start_at_ = t;
+  for (const Pipe& p : pipes_) start_at_ = std::max(start_at_, p.free);
+}
+
+Accelerator::PipeIndex Accelerator::pipe_of(Opcode op) {
+  switch (op) {
+    case Opcode::kMvin: return kLoadPipe;
+    case Opcode::kPreload:
+    case Opcode::kComputePreloaded:
+    case Opcode::kComputeAccumulated: return kExecPipe;
+    case Opcode::kMvout: return kStorePipe;
+    default: return kNoPipe;
+  }
 }
 
 Cycle Accelerator::next_issue_hint() const {
   if (done()) return kCycleMax;
-  const Instruction& inst = (*prog_)[pc_];
-  Cycle base = start_at_;
-  switch (inst.op) {
-    case Opcode::kMvin: return std::max(base, ld_free_);
-    case Opcode::kMvout: return std::max(base, st_free_);
-    case Opcode::kPreload:
-    case Opcode::kComputePreloaded:
-    case Opcode::kComputeAccumulated: return std::max(base, ex_free_);
-    default: return base;
-  }
+  const PipeIndex p = pipe_of((*prog_)[pc_].op);
+  return p == kNoPipe ? start_at_ : std::max(start_at_, pipes_[p].free);
 }
 
 Cycle Accelerator::rob_gate(Cycle start) {
@@ -74,7 +75,48 @@ Cycle Accelerator::run(const Program& prog, const AddressSpace& as,
   return frontier_;
 }
 
+template <typename Unit>
+void Accelerator::issue(const Instruction& inst, trace::EventKind kind,
+                        const Operands& ops, std::uint64_t trace_arg,
+                        Unit unit) {
+  Pipe& pipe = pipes_[pipe_of(inst.op)];
+  Cycle start = std::max(start_at_, pipe.free);
+  for (const Operand& o : ops) {
+    if (o.mem == nullptr) continue;
+    start = std::max(start, o.write ? o.mem->write_ready(o.row, o.rows)
+                                    : o.mem->read_ready(o.row, o.rows));
+  }
+  start = rob_gate(start);
+  const Occupancy occ = unit(start);
+  for (const Operand& o : ops) {
+    if (o.mem == nullptr) continue;
+    if (o.write) {
+      o.mem->record_write(o.row, o.rows, occ);
+    } else {
+      o.mem->record_read(o.row, o.rows, occ);
+    }
+  }
+  pipe.free = occ.free_at;
+  report_.*pipe.busy += occ.free_at - start;
+  if (tracer_) tracer_->span(kind, start, occ.done_at, trace_arg);
+  retire(occ.done_at);
+}
+
 void Accelerator::exec_one(const Instruction& inst) {
+  // Operand builders: a garbage address names no operand. A and B always
+  // come from the scratchpad (as ExecUnit reads them); MVIN/MVOUT rows, D
+  // and C name their memory.
+  auto sp = [&](LocalAddr a, std::uint64_t rows) {
+    return a.is_garbage() ? Operand{} : Operand{&sp_, a.row(), rows, false};
+  };
+  auto local = [&](LocalAddr a, std::uint64_t rows, bool write) {
+    return a.is_garbage()
+               ? Operand{}
+               : Operand{&local_memory(a, sp_, acc_), a.row(), rows, write};
+  };
+  // MVIN and MVOUT trace their payload bytes.
+  const std::uint64_t bytes =
+      std::uint64_t{inst.rows} * inst.cols * cfg_.input_bytes();
   switch (inst.op) {
     case Opcode::kConfigEx: {
       ex_state_.dataflow = inst.dataflow;
@@ -94,110 +136,55 @@ void Accelerator::exec_one(const Instruction& inst) {
     }
     case Opcode::kConfigSt: {
       st_stride_ = inst.stride_bytes;
-      pool_window_ = inst.pool_window;
-      pool_stride_ = inst.pool_stride;
       break;
     }
     case Opcode::kMvin: {
-      LocalMemory& dst = local_memory(inst.local, sp_, acc_);
-      Cycle start = std::max(start_at_, ld_free_);
-      start = std::max(start, dst.write_ready(inst.local.row(), inst.rows));
-      start = rob_gate(start);
+      // The load pipe frees as soon as the last request has issued (the DMA
+      // is pipelined across MVINs); dependents wait for the data.
       const auto& ch = ld_[inst.ld_channel];
-      const DmaEngine::XferResult xr =
-          dma_.mvin(*as_, inst.dram_addr, ch.stride, ch.scale, inst.local,
-                    inst.rows, inst.cols, start, functional_, ch.int4);
-      // Dependents wait for the data; the load pipe itself frees as soon as
-      // the last request has issued (the DMA is pipelined across MVINs).
-      dst.record_write(inst.local.row(), inst.rows, xr.issue_done,
-                       xr.data_done);
-      ld_free_ = xr.issue_done;
-      report_.load_busy += xr.issue_done - start;
-      if (tracer_) {
-        tracer_->span(trace::EventKind::kMvin, start, xr.data_done,
-                      static_cast<std::uint64_t>(inst.rows) * inst.cols *
-                          cfg_.input_bytes());
-      }
-      retire(xr.data_done);
+      issue(inst, trace::EventKind::kMvin,
+            {local(inst.local, inst.rows, true)}, bytes, [&](Cycle start) {
+              return dma_.mvin(*as_, inst.dram_addr, ch.stride, ch.scale,
+                               inst.local, inst.rows, inst.cols, start,
+                               functional_, ch.int4);
+            });
       break;
     }
     case Opcode::kMvout: {
-      LocalMemory& src = local_memory(inst.local, sp_, acc_);
-      Cycle start = std::max(start_at_, st_free_);
-      start = std::max(start, src.read_ready(inst.local.row(), inst.rows));
-      start = rob_gate(start);
-      const DmaEngine::XferResult xr = dma_.mvout(
-          *as_, inst.dram_addr, st_stride_, inst.local, inst.rows, inst.cols,
-          ex_state_.out_shift, ex_state_.activation, start, functional_);
-      // Local rows are free for reuse once read into the store stream;
-      // the DRAM write drains in the background (but FENCE waits for it).
-      src.record_read(inst.local.row(), inst.rows, xr.issue_done);
-      st_free_ = xr.issue_done;
-      report_.store_busy += xr.issue_done - start;
-      if (tracer_) {
-        tracer_->span(trace::EventKind::kMvout, start, xr.data_done,
-                      static_cast<std::uint64_t>(inst.rows) * inst.cols *
-                          cfg_.input_bytes());
-      }
-      retire(xr.data_done);
+      // Local rows are free for reuse once read into the store stream; the
+      // DRAM write drains in the background (but FENCE waits for it).
+      issue(inst, trace::EventKind::kMvout,
+            {local(inst.local, inst.rows, false)}, bytes, [&](Cycle start) {
+              return dma_.mvout(*as_, inst.dram_addr, st_stride_, inst.local,
+                                inst.rows, inst.cols, ex_state_.out_shift,
+                                ex_state_.activation, start, functional_);
+            });
       break;
     }
     case Opcode::kPreload: {
-      Cycle start = std::max(start_at_, ex_free_);
-      if (!inst.local.is_garbage()) {
-        start = std::max(start, sp_.read_ready(inst.local.row(), inst.rows));
-      }
-      start = rob_gate(start);
-      const Cycle end = exec_.preload(inst, start, functional_);
-      if (!inst.local.is_garbage()) {
-        sp_.record_read(inst.local.row(), inst.rows, end);
-      }
-      ex_free_ = end;
-      report_.exec_busy += end - start;
-      if (tracer_) tracer_->span(trace::EventKind::kPreload, start, end);
-      retire(end);
+      issue(inst, trace::EventKind::kPreload, {sp(inst.local, inst.rows)}, 0,
+            [&](Cycle start) {
+              return exec_.preload(inst, start, functional_);
+            });
       break;
     }
     case Opcode::kComputePreloaded:
     case Opcode::kComputeAccumulated: {
-      Cycle start = std::max(start_at_, ex_free_);
-      if (!inst.local.is_garbage()) {
-        start = std::max(start, sp_.read_ready(inst.local.row(), inst.rows));
-      }
-      LocalMemory& d = local_memory(inst.local2, sp_, acc_);
-      if (!inst.local2.is_garbage()) {
-        start = std::max(start, d.read_ready(inst.local2.row(), inst.rows2));
-      }
-      const LocalAddr c = exec_.c_dest();
-      LocalMemory& dest = local_memory(c, sp_, acc_);
-      const unsigned c_rows = exec_.c_rows() ? exec_.c_rows() : inst.rows;
-      if (!c.is_garbage()) {
-        start = std::max(start, dest.write_ready(c.row(), c_rows));
-      }
-      start = rob_gate(start);
-      const std::uint64_t macs_before = report_.macs;
-      const Cycle end =
-          exec_.compute(inst, ex_state_, start, functional_, report_.macs);
-      if (tracer_) {
-        tracer_->span(trace::EventKind::kTile, start, end,
-                      report_.macs - macs_before);
-      }
+      const std::uint64_t macs = exec_.macs(inst);
+      report_.macs += macs;
       ++report_.tiles;
-      if (!inst.local.is_garbage()) {
-        sp_.record_read(inst.local.row(), inst.rows, end);
-      }
-      if (!inst.local2.is_garbage()) {
-        d.record_read(inst.local2.row(), inst.rows2, end);
-      }
-      if (!c.is_garbage()) dest.record_write(c.row(), c_rows, end, end);
-      ex_free_ = end;
-      report_.exec_busy += end - start;
-      retire(end);
+      issue(inst, trace::EventKind::kTile,
+            {sp(inst.local, inst.rows), local(inst.local2, inst.rows2, false),
+             local(exec_.c_dest(), exec_.c_rows(inst), true)},
+            macs, [&](Cycle start) {
+              return exec_.compute(inst, ex_state_, start, functional_);
+            });
       break;
     }
     case Opcode::kFence: {
-      const Cycle t = std::max({ld_free_, ex_free_, st_free_, frontier_});
-      ld_free_ = ex_free_ = st_free_ = t;
+      Cycle t = frontier_;
+      for (const Pipe& p : pipes_) t = std::max(t, p.free);
+      for (Pipe& p : pipes_) p.free = t;
       break;
     }
     case Opcode::kFlush: {
@@ -220,7 +207,8 @@ void Accelerator::reset_time() {
   sp_.reset_time();
   acc_.reset_time();
   dma_.reset_time();
-  ld_free_ = ex_free_ = st_free_ = frontier_ = 0;
+  for (Pipe& p : pipes_) p.free = 0;
+  frontier_ = 0;
   std::fill(rob_.begin(), rob_.end(), 0);
   rob_head_ = 0;
 }

@@ -2,9 +2,11 @@
 // The generated accelerator (Fig. 1), cycle-level.
 //
 // A three-pipeline controller (load / execute / store) walks the RoCC
-// program in order, issuing each instruction as soon as (a) its pipeline is
-// free, (b) its operand rows clear RAW/WAR/WAW hazards (each LocalMemory
-// keeps its rows' hazard timelines), and (c) a ROB slot is available.
+// program in order, issuing each data instruction through one routine as
+// soon as (a) its pipeline is free, (b) its operand rows clear RAW/WAR/WAW
+// hazards (each LocalMemory keeps its rows' hazard timelines), and (c) a
+// ROB slot is available. The unit's Occupancy then frees the pipe and the
+// source rows at `free_at` and retires the instruction at `done_at`.
 // Independent loads, computes and stores therefore overlap — the
 // double-buffering emitted by the runtime turns into real latency hiding,
 // exactly as in the RTL's dependency-managed queues.
@@ -22,6 +24,7 @@
 #include "src/arch/config.h"
 #include "src/isa/isa.h"
 #include "src/mem/memsys.h"
+#include "src/trace/trace.h"
 #include "src/vm/ptw.h"
 #include "src/vm/translation.h"
 
@@ -102,12 +105,39 @@ class Accelerator {
   void reset_time();
 
  private:
+  /// One pipeline: when it can issue next, and the report counter its
+  /// occupancy adds to.
+  struct Pipe {
+    Cycle free = 0;
+    Cycle AccelReport::*busy;
+  };
+  /// Index into pipes_ of the pipeline `op` issues on; kNoPipe for CONFIG,
+  /// FENCE and FLUSH.
+  enum PipeIndex : std::size_t { kLoadPipe, kExecPipe, kStorePipe, kNoPipe };
+  static PipeIndex pipe_of(Opcode op);
+
+  /// A local-memory range an instruction reads or writes (`mem` null: none,
+  /// e.g. a garbage address).
+  struct Operand {
+    LocalMemory* mem = nullptr;
+    std::uint64_t row = 0;
+    std::uint64_t rows = 0;
+    bool write = false;
+  };
+  using Operands = std::array<Operand, 3>;
+
   void exec_one(const Instruction& inst);
+  /// Issues a data instruction: gates on its pipe, operand hazards and the
+  /// ROB, runs `unit(start) -> Occupancy`, then applies the hazard rule
+  /// (local_memory.h), adds the busy cycles, traces `kind` over
+  /// [start, done_at] with `trace_arg` and retires at done_at.
+  template <typename Unit>
+  void issue(const Instruction& inst, trace::EventKind kind,
+             const Operands& ops, std::uint64_t trace_arg, Unit unit);
   Cycle rob_gate(Cycle start);
   void retire(Cycle end);
 
   GemminiConfig cfg_;
-  MemorySystem& mem_;
   trace::Tracer* tracer_;
   bool functional_ = true;
 
@@ -125,11 +155,12 @@ class Accelerator {
   };
   std::array<LdChannel, 3> ld_{};
   std::uint64_t st_stride_ = 0;
-  std::uint16_t pool_window_ = 0, pool_stride_ = 0;
   ExConfigState ex_state_{};
 
-  // Pipeline timelines.
-  Cycle ld_free_ = 0, ex_free_ = 0, st_free_ = 0;
+  // Pipeline timelines (load, execute, store), indexed by pipe_of().
+  std::array<Pipe, kNoPipe> pipes_{{{0, &AccelReport::load_busy},
+                                    {0, &AccelReport::exec_busy},
+                                    {0, &AccelReport::store_busy}}};
   Cycle frontier_ = 0;
 
   // ROB occupancy: completion times of in-flight instructions (ring).

@@ -10,10 +10,9 @@
 
 namespace gemmini {
 
-DmaEngine::StreamResult DmaEngine::stream(const AddressSpace& as, VAddr va,
-                                          std::uint64_t bytes, bool write,
-                                          Cycle issue) {
-  StreamResult r{issue, issue};
+Occupancy DmaEngine::stream(const AddressSpace& as, VAddr va,
+                            std::uint64_t bytes, bool write, Cycle issue) {
+  Occupancy r{issue, issue};
   std::deque<Cycle>& inflight_ = write ? write_inflight_ : read_inflight_;
   std::uint64_t remaining = bytes;
   VAddr cur = va;
@@ -27,7 +26,7 @@ DmaEngine::StreamResult DmaEngine::stream(const AddressSpace& as, VAddr va,
 
     // One request enters the pipe per cycle; a full in-flight window stalls
     // the issue stage until the oldest request retires.
-    Cycle slot = r.next_issue;
+    Cycle slot = r.free_at;
     if (inflight_.size() >= cfg_.dma_max_inflight) {
       slot = std::max(slot, inflight_.front());
       inflight_.pop_front();
@@ -66,27 +65,26 @@ DmaEngine::StreamResult DmaEngine::stream(const AddressSpace& as, VAddr va,
       }
     }
     inflight_.push_back(done);
-    r.done = std::max(r.done, done);
+    r.done_at = std::max(r.done_at, done);
     const bool blocking_miss = tr.level == TranslationLevel::kSharedTlb ||
                                tr.level == TranslationLevel::kPageWalk;
-    r.next_issue = blocking_miss ? tr.done + 1 : slot + 1;
+    r.free_at = blocking_miss ? tr.done + 1 : slot + 1;
     cur += chunk;
     remaining -= chunk;
   }
   if (obs_.trace) {
     obs_.trace->span(write ? trace::EventKind::kDmaBurstWrite
                            : trace::EventKind::kDmaBurstRead,
-                     issue, r.done, bytes, requestor_.value);
+                     issue, r.done_at, bytes, requestor_.value);
   }
   (write ? stats_.store_bytes : stats_.load_bytes) += bytes;
   return r;
 }
 
-DmaEngine::XferResult DmaEngine::mvin(const AddressSpace& as, VAddr dram,
-                                      std::uint64_t stride_bytes, float scale,
-                                      LocalAddr dst, unsigned rows,
-                                      unsigned cols, Cycle start,
-                                      bool functional, bool int4) {
+Occupancy DmaEngine::mvin(const AddressSpace& as, VAddr dram,
+                          std::uint64_t stride_bytes, float scale,
+                          LocalAddr dst, unsigned rows, unsigned cols,
+                          Cycle start, bool functional, bool int4) {
   GEMMINI_CHECK_MSG(!dst.is_garbage(), "mvin needs a destination");
   GEMMINI_CHECK_MSG(cols <= cfg_.dim(), "mvin cols " << cols << " > dim");
   GEMMINI_CHECK_MSG(!int4 || (!dst.is_acc() && cfg_.dtype == DType::kInt8),
@@ -99,28 +97,19 @@ DmaEngine::XferResult DmaEngine::mvin(const AddressSpace& as, VAddr dram,
       int4 ? (static_cast<std::uint64_t>(cols) + 1) / 2
            : static_cast<std::uint64_t>(cols) * elem;
 
-  LocalMemory& local = local_memory(dst, sp_, acc_);
-  Cycle issue = start;
-  Cycle done = start;
   // Consecutive rows that are contiguous in DRAM (stride == row width)
   // coalesce into one burst, so the memory system sees line-sized requests
   // instead of row-sized ones — matching the RTL DMA's request coalescing.
-  const bool contiguous = stride_bytes == row_bytes && rows > 1;
-  if (contiguous) {
-    const StreamResult sr = stream(
-        as, dram, row_bytes * rows, /*write=*/false, issue);
-    issue = sr.next_issue;
-    done = std::max(done, local.reserve(dst.row(), rows, sr.done, 1));
-  } else {
-    for (unsigned r = 0; r < rows; ++r) {
-      const VAddr va = dram + static_cast<std::uint64_t>(r) * stride_bytes;
-      const StreamResult sr =
-          stream(as, va, row_bytes, /*write=*/false, issue);
-      issue = sr.next_issue;
-
-      // Local write happens when the data lands.
-      done = std::max(done, local.reserve(dst.row() + r, 1, sr.done, 1));
-    }
+  const unsigned burst = stride_bytes == row_bytes ? rows : 1;
+  LocalMemory& local = local_memory(dst, sp_, acc_);
+  Occupancy occ{start, start};
+  for (unsigned r = 0; r < rows; r += burst) {
+    const Occupancy s = stream(as, dram + r * stride_bytes, burst * row_bytes,
+                               /*write=*/false, occ.free_at);
+    occ.free_at = s.free_at;
+    // Local write happens when the data lands.
+    occ.done_at = std::max(occ.done_at,
+                           local.reserve(dst.row() + r, burst, s.done_at, 1));
   }
 
   if (functional) {
@@ -131,14 +120,9 @@ DmaEngine::XferResult DmaEngine::mvin(const AddressSpace& as, VAddr dram,
     AddressSpace::Cursor copier(as);
     stage_.resize(row_bytes * rows);
     std::uint8_t* const buf_data = stage_.data();
-    if (contiguous) {
-      copier.read(dram, buf_data, row_bytes * rows);
-    } else {
-      for (unsigned r = 0; r < rows; ++r) {
-        copier.read(dram + static_cast<std::uint64_t>(r) * stride_bytes,
-                    buf_data + static_cast<std::size_t>(r) * row_bytes,
-                    row_bytes);
-      }
+    for (unsigned r = 0; r < rows; r += burst) {
+      copier.read(dram + r * stride_bytes, buf_data + r * row_bytes,
+                  burst * row_bytes);
     }
 
     if (dst.is_acc()) {
@@ -210,43 +194,31 @@ DmaEngine::XferResult DmaEngine::mvin(const AddressSpace& as, VAddr dram,
       }
     }
   }
-  return XferResult{issue, done};
+  return occ;
 }
 
-DmaEngine::XferResult DmaEngine::mvout(const AddressSpace& as, VAddr dram,
-                                       std::uint64_t stride_bytes,
-                                       LocalAddr src, unsigned rows,
-                                       unsigned cols, unsigned out_shift,
-                                       Activation act, Cycle start,
-                                       bool functional) {
+Occupancy DmaEngine::mvout(const AddressSpace& as, VAddr dram,
+                           std::uint64_t stride_bytes, LocalAddr src,
+                           unsigned rows, unsigned cols, unsigned out_shift,
+                           Activation act, Cycle start, bool functional) {
   GEMMINI_CHECK_MSG(!src.is_garbage(), "mvout needs a source");
   GEMMINI_CHECK_MSG(cols <= cfg_.dim(), "mvout cols " << cols << " > dim");
   const std::size_t elem = cfg_.input_bytes();
   const std::uint64_t row_bytes = static_cast<std::uint64_t>(cols) * elem;
 
-  LocalMemory& local = local_memory(src, sp_, acc_);
-  Cycle issue = start;
-  Cycle done = start;
   // Contiguous output rows coalesce into one burst (see mvin).
-  const bool contiguous = stride_bytes == row_bytes && rows > 1;
-  if (contiguous) {
-    const Cycle read_done = local.reserve(src.row(), rows, issue, rows);
-    const StreamResult sr =
-        stream(as, dram, row_bytes * rows, /*write=*/true,
-               read_done - rows + 1);
-    issue = std::max(issue + rows, sr.next_issue);
-    done = std::max(done, sr.done);
-  } else {
-    for (unsigned r = 0; r < rows; ++r) {
-      const VAddr va = dram + static_cast<std::uint64_t>(r) * stride_bytes;
-      // Local read first (1 cycle through the read-out pipeline)...
-      const Cycle read_done = local.reserve(src.row() + r, 1, issue, 1);
-      // ...then the write stream to memory.
-      const StreamResult sr =
-          stream(as, va, row_bytes, /*write=*/true, read_done);
-      issue = std::max(issue + 1, sr.next_issue);
-      done = std::max(done, sr.done);
-    }
+  const unsigned burst = stride_bytes == row_bytes ? rows : 1;
+  LocalMemory& local = local_memory(src, sp_, acc_);
+  Occupancy occ{start, start};
+  for (unsigned r = 0; r < rows; r += burst) {
+    // Local read first (1 cycle per row through the read-out pipeline)...
+    const Cycle read_done =
+        local.reserve(src.row() + r, burst, occ.free_at, burst);
+    // ...then the write stream to memory.
+    const Occupancy s = stream(as, dram + r * stride_bytes, burst * row_bytes,
+                               /*write=*/true, read_done - burst + 1);
+    occ.free_at = std::max(occ.free_at + burst, s.free_at);
+    occ.done_at = std::max(occ.done_at, s.done_at);
   }
 
   if (functional) {
@@ -282,17 +254,12 @@ DmaEngine::XferResult DmaEngine::mvout(const AddressSpace& as, VAddr dram,
     }
 
     AddressSpace::Cursor copier(as);
-    if (contiguous) {
-      copier.write(dram, buf_data, row_bytes * rows);
-    } else {
-      for (unsigned r = 0; r < rows; ++r) {
-        copier.write(dram + static_cast<std::uint64_t>(r) * stride_bytes,
-                     buf_data + static_cast<std::size_t>(r) * row_bytes,
-                     row_bytes);
-      }
+    for (unsigned r = 0; r < rows; r += burst) {
+      copier.write(dram + r * stride_bytes, buf_data + r * row_bytes,
+                   burst * row_bytes);
     }
   }
-  return XferResult{issue, done};
+  return occ;
 }
 
 }  // namespace gemmini

@@ -41,14 +41,10 @@ class DmaEngine {
         requestor_(requestor),
         obs_(obs) {}
 
-  /// Timing result of a data-movement instruction: `issue_done` is when the
-  /// DMA front-end finishes injecting requests (the next MVIN/MVOUT can
-  /// start then — the engine is pipelined); `data_done` is when the last
-  /// byte lands (dependent computes must wait for this).
-  struct XferResult {
-    Cycle issue_done;
-    Cycle data_done;
-  };
+  // Both transfers return their Occupancy: `free_at` is when the DMA
+  // front-end finishes injecting requests (the next MVIN/MVOUT can start
+  // then — the engine is pipelined); `done_at` is when the last byte lands
+  // (dependent computes wait for this).
 
   /// Executes an MVIN: rows x cols elements from DRAM (row stride
   /// `stride_bytes`, scaled by `scale`) into consecutive local rows starting
@@ -56,22 +52,21 @@ class DmaEngine {
   /// two's-complement nibbles (low nibble first) that are sign-extended to
   /// int8 on the way into the scratchpad — dequant-on-mvin, so the array
   /// computes in int8 while DRAM traffic halves.
-  XferResult mvin(const AddressSpace& as, VAddr dram,
-                  std::uint64_t stride_bytes, float scale, LocalAddr dst,
-                  unsigned rows, unsigned cols, Cycle start, bool functional,
-                  bool int4 = false);
+  Occupancy mvin(const AddressSpace& as, VAddr dram,
+                 std::uint64_t stride_bytes, float scale, LocalAddr dst,
+                 unsigned rows, unsigned cols, Cycle start, bool functional,
+                 bool int4 = false);
 
   /// Executes an MVOUT: rows x cols elements from local rows starting at
   /// `src` to DRAM. Accumulator sources pass through the read-out pipeline
   /// (shift + activation for int8 configs).
-  XferResult mvout(const AddressSpace& as, VAddr dram,
-                   std::uint64_t stride_bytes, LocalAddr src, unsigned rows,
-                   unsigned cols, unsigned out_shift, Activation act,
-                   Cycle start, bool functional);
+  Occupancy mvout(const AddressSpace& as, VAddr dram,
+                  std::uint64_t stride_bytes, LocalAddr src, unsigned rows,
+                  unsigned cols, unsigned out_shift, Activation act,
+                  Cycle start, bool functional);
 
   const Stats& stats() const { return stats_; }
   void reset_stats() { stats_ = Stats{}; }
-  TranslationSystem& translation() { return translation_; }
 
   /// Drops in-flight state (absolute times) between independent runs.
   void reset_time() {
@@ -81,13 +76,10 @@ class DmaEngine {
 
  private:
   /// Streams `bytes` at virtual address `va` through the memory system with
-  /// the bounded in-flight window. Returns {last completion, next issue}.
-  struct StreamResult {
-    Cycle done;
-    Cycle next_issue;
-  };
-  StreamResult stream(const AddressSpace& as, VAddr va, std::uint64_t bytes,
-                      bool write, Cycle issue);
+  /// the bounded in-flight window: free at the next request's issue slot,
+  /// done at the last completion.
+  Occupancy stream(const AddressSpace& as, VAddr va, std::uint64_t bytes,
+                   bool write, Cycle issue);
 
   const GemminiConfig& cfg_;
   MemorySystem& mem_;

@@ -35,8 +35,8 @@ void ExecUnit::latch_b(LocalAddr b, unsigned rows, unsigned cols) {
   }
 }
 
-Cycle ExecUnit::preload(const Instruction& inst, Cycle start,
-                        bool functional) {
+Occupancy ExecUnit::preload(const Instruction& inst, Cycle start,
+                            bool functional) {
   const Cycle cycles = model_.preload_cycles(inst.rows);
   Cycle t;
   if (!inst.local.is_garbage()) {
@@ -49,7 +49,7 @@ Cycle ExecUnit::preload(const Instruction& inst, Cycle start,
   c_dest_ = inst.local2;
   c_rows_ = inst.rows2;
   c_cols_ = inst.cols2;
-  return t;
+  return {t, t};
 }
 
 void ExecUnit::gather_a_row_i8(const Instruction& inst, const ExConfigState& ex,
@@ -96,15 +96,13 @@ void ExecUnit::gather_a_row_f32(const Instruction& inst,
   if (lim < k) std::fill(dst + lim, dst + k, 0.0f);
 }
 
-Cycle ExecUnit::compute(const Instruction& inst, const ExConfigState& ex,
-                        Cycle start, bool functional,
-                        std::uint64_t& macs_out) {
+Occupancy ExecUnit::compute(const Instruction& inst, const ExConfigState& ex,
+                            Cycle start, bool functional) {
   const unsigned dim = cfg_.dim();
   const unsigned m = inst.rows;       // A rows
   const unsigned k = inst.cols;       // A cols == B rows
-  const unsigned n = c_cols_ == 0 ? dim : c_cols_;
+  const unsigned n = c_n();
   GEMMINI_CHECK(m <= dim && k <= dim && n <= dim);
-  macs_out += static_cast<std::uint64_t>(m) * k * n;
 
   // Timing: stream A out of the scratchpad, flow through the array, land in
   // the destination memory.
@@ -120,16 +118,16 @@ Cycle ExecUnit::compute(const Instruction& inst, const ExConfigState& ex,
     lat += dim;  // extra pass through the transposer pipeline
   }
   t += lat;
-  if (c_dest_.is_garbage()) return t;
+  if (c_dest_.is_garbage()) return {t, t};
   LocalMemory& dest = local_memory(c_dest_, sp_, acc_);
-  t = dest.reserve(c_dest_.row(), c_rows_ ? c_rows_ : m, t - 1, 1);
-  if (!functional) return t;
+  t = dest.reserve(c_dest_.row(), c_rows(inst), t - 1, 1);
+  if (!functional) return {t, t};
 
   // ---- Functional matmul: C = op(A) x B + D --------------------------------
   // Per output row: gather op(A) row r once into a contiguous staging buffer,
   // run contiguous dot products against the transposed B tile, fold in D,
   // then commit the whole row. The dtype branch is hoisted out of the loops.
-  const unsigned out_rows = c_rows_ ? c_rows_ : m;
+  const unsigned out_rows = c_rows(inst);
   const LocalAddr d = inst.local2;
   if (cfg_.dtype == DType::kInt8) {
     std::int32_t* out = out_i32_.data();
@@ -212,7 +210,7 @@ Cycle ExecUnit::compute(const Instruction& inst, const ExConfigState& ex,
       injector_->draw_exec_tile_error(dest.region_bits(out_rows), t, &bit)) {
     dest.corrupt_bit(c_dest_.row(), bit);
   }
-  return t;
+  return {t, t};
 }
 
 }  // namespace gemmini

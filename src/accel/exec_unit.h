@@ -39,22 +39,29 @@ class ExecUnit {
         out_f32_(cfg.dim(), 0.0f) {}
 
   /// PRELOAD: latch B (rows x cols from scratchpad; garbage = zero tile) and
-  /// remember the C destination for subsequent COMPUTEs.
-  Cycle preload(const Instruction& inst, Cycle start, bool functional);
+  /// remember the C destination for subsequent COMPUTEs. The array streams
+  /// and lands in one pass, so every Occupancy here has free_at == done_at.
+  Occupancy preload(const Instruction& inst, Cycle start, bool functional);
 
-  /// COMPUTE (preloaded or accumulated): returns completion time.
-  /// `macs_out` accumulates useful MACs for utilization statistics.
-  Cycle compute(const Instruction& inst, const ExConfigState& ex, Cycle start,
-                bool functional, std::uint64_t& macs_out);
+  /// COMPUTE (preloaded or accumulated) against the latched tile.
+  Occupancy compute(const Instruction& inst, const ExConfigState& ex,
+                    Cycle start, bool functional);
 
-  /// The C destination currently latched (for hazard tracking).
+  /// Useful MACs of a COMPUTE against the latched tile (utilization).
+  std::uint64_t macs(const Instruction& inst) const {
+    return static_cast<std::uint64_t>(inst.rows) * inst.cols * c_n();
+  }
+
+  /// The C destination currently latched, and the rows a COMPUTE writes
+  /// there (for hazard tracking).
   LocalAddr c_dest() const { return c_dest_; }
-  unsigned c_rows() const { return c_rows_; }
-  unsigned c_cols() const { return c_cols_; }
-
-  const SpatialArrayModel& model() const { return model_; }
+  unsigned c_rows(const Instruction& inst) const {
+    return c_rows_ ? c_rows_ : inst.rows;
+  }
 
  private:
+  /// Output columns of the latched C tile (0 = the full array width).
+  unsigned c_n() const { return c_cols_ == 0 ? cfg_.dim() : c_cols_; }
   void latch_b(LocalAddr b, unsigned rows, unsigned cols);
   /// Stages op(A) row `r` (transpose/garbage/out-of-range handled) into the
   /// contiguous a_row_* buffer, length k.

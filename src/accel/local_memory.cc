@@ -37,7 +37,7 @@ Cycle LocalMemory::reserve(std::uint64_t row, std::uint64_t nrows, Cycle t,
 
 void LocalMemory::reset_time() {
   for (std::vector<Cycle>* v :
-       {&bank_busy_, &write_issue_, &write_data_, &read_end_}) {
+       {&bank_busy_, &write_free_, &write_done_, &read_free_}) {
     std::fill(v->begin(), v->end(), 0);
   }
 }

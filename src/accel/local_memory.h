@@ -9,16 +9,19 @@
 //
 // Dependency management (Fig. 1 "Dependency Mgmt"): the real controller
 // tracks RAW/WAR/WAW hazards between the load, execute and store pipelines
-// on local rows. Each memory keeps, per row, three times:
-//   * write_issue: when the writer finished *issuing* its stream,
-//   * write_data:  when the written data actually landed,
-//   * read_end:    when the last reader finished.
-// A new *writer* only waits for the previous writer's issue-completion (the
-// DMA and the local write ports preserve per-row ordering, so back-to-back
-// writes pipeline — this is what makes MVIN/MVIN-accumulate residual
-// additions stream in the RTL) plus any outstanding readers. A *reader*
-// must wait for the data itself.
+// on local rows. Every unit reports an instruction as one Occupancy:
+// `free_at`, when the unit (and the rows it streams) can take the next
+// instruction, and `done_at`, when its results have landed. The hazard
+// rule, per row:
+//   * a reader releases its rows to the next writer at its free_at;
+//   * a writer passes its rows to the next writer at its free_at and to
+//     readers at its done_at.
+// So back-to-back writers pipeline (the DMA and the local write ports keep
+// per-row order — this is what makes MVIN/MVIN-accumulate residual
+// additions stream in the RTL), while a reader waits for the data itself.
+// The execute unit's results land when it frees (free_at == done_at).
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +31,14 @@
 #include "src/base/types.h"
 
 namespace gemmini {
+
+/// One instruction's time in a unit (DMA engine, execute unit): the unit
+/// can start its next instruction at `free_at`; the results land at
+/// `done_at` (>= free_at).
+struct Occupancy {
+  Cycle free_at;
+  Cycle done_at;
+};
 
 class LocalMemory {
  public:
@@ -47,9 +58,9 @@ class LocalMemory {
         bank_rows_(rows / banks),
         data_(rows * row_bytes, 0),
         bank_busy_(banks, 0),
-        write_issue_(rows, 0),
-        write_data_(rows, 0),
-        read_end_(rows, 0),
+        write_free_(rows, 0),
+        write_done_(rows, 0),
+        read_free_(rows, 0),
         injector_(obs.faults) {}
 
   std::uint64_t rows() const { return rows_; }
@@ -74,39 +85,34 @@ class LocalMemory {
   /// Returns the access completion (start after all touched banks free).
   Cycle reserve(std::uint64_t row, std::uint64_t nrows, Cycle t, Cycle cycles);
 
-  // ---- Hazards --------------------------------------------------------------
-  /// Earliest time a *read* of the range may begin (after data landed).
+  // ---- Hazards (the rule in the header comment) ---------------------------
+  /// Earliest time a *read* of the range may begin.
   Cycle read_ready(std::uint64_t row, std::uint64_t nrows) const {
     Cycle t = 0;
     for (std::uint64_t r = row; r < row + nrows; ++r) {
-      if (write_data_[r] > t) t = write_data_[r];
+      t = std::max(t, write_done_[r]);
     }
     return t;
   }
-  /// Earliest time a *write* may begin (after the previous writer's stream
-  /// was fully issued AND all readers finished).
+  /// Earliest time a *write* of the range may begin.
   Cycle write_ready(std::uint64_t row, std::uint64_t nrows) const {
     Cycle t = 0;
     for (std::uint64_t r = row; r < row + nrows; ++r) {
-      if (write_issue_[r] > t) t = write_issue_[r];
-      if (read_end_[r] > t) t = read_end_[r];
+      t = std::max({t, write_free_[r], read_free_[r]});
     }
     return t;
   }
-  void record_read(std::uint64_t row, std::uint64_t nrows, Cycle done) {
+  void record_read(std::uint64_t row, std::uint64_t nrows, Occupancy occ) {
     GEMMINI_CHECK(row + nrows <= rows_);
     for (std::uint64_t r = row; r < row + nrows; ++r) {
-      if (done > read_end_[r]) read_end_[r] = done;
+      read_free_[r] = std::max(read_free_[r], occ.free_at);
     }
   }
-  /// `issue_done` = stream fully issued; `data_done` = data landed.
-  /// Single-timestamp writers (the execute pipe) pass the same value twice.
-  void record_write(std::uint64_t row, std::uint64_t nrows, Cycle issue_done,
-                    Cycle data_done) {
+  void record_write(std::uint64_t row, std::uint64_t nrows, Occupancy occ) {
     GEMMINI_CHECK(row + nrows <= rows_);
     for (std::uint64_t r = row; r < row + nrows; ++r) {
-      if (issue_done > write_issue_[r]) write_issue_[r] = issue_done;
-      if (data_done > write_data_[r]) write_data_[r] = data_done;
+      write_free_[r] = std::max(write_free_[r], occ.free_at);
+      write_done_[r] = std::max(write_done_[r], occ.done_at);
     }
   }
 
@@ -140,7 +146,7 @@ class LocalMemory {
   std::uint64_t bank_rows_;
   std::vector<std::uint8_t> data_;
   std::vector<Cycle> bank_busy_;
-  std::vector<Cycle> write_issue_, write_data_, read_end_;
+  std::vector<Cycle> write_free_, write_done_, read_free_;
   fault::Injector* injector_;
   Stats stats_;
 };

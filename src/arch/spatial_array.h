@@ -6,11 +6,13 @@
 // pipelining, not cycles-per-operation. What the cycle model captures:
 //
 //  * WS (weight stationary): PRELOAD streams the K x N weight tile into the
-//    array in K cycles; COMPUTE streams M rows of A through, producing M
-//    rows of partial sums after a fill+drain latency of dim_rows+dim_cols.
+//    array in K cycles; COMPUTE streams M rows of A through in M cycles.
 //  * OS (output stationary): partial sums stay in the PEs; COMPUTE streams
-//    the K-deep reduction through in K cycles, and results drain out over
-//    dim_rows cycles on the final accumulation of a tile.
+//    the K-deep reduction through in K cycles.
+//  * Fill and drain, in both dataflows: every compute.preloaded (after a
+//    fresh PRELOAD) adds mesh_rows + mesh_cols cycles; a compute.accumulated
+//    streams into the already-full pipeline and adds none. The execute unit
+//    returns all of it as occupancy (free_at == done_at).
 //  * Sub-tile operands (M, K or N < dim) still occupy the whole array for
 //    the same latency — this under-utilization is what makes depthwise
 //    convolutions map poorly (the paper's MobileNetV2 discussion).

@@ -6,6 +6,7 @@
 #include "src/base/rng.h"
 #include "src/cpu/kernels.h"
 #include "src/runtime/kernels_accel.h"
+#include "src/trace/trace.h"
 #include "tests/test_util.h"
 
 namespace gemmini {
@@ -201,6 +202,128 @@ TEST(Controller, FlushClearsTlbState) {
                 make_mvin(a, LocalAddr::sp_row(16), 16, 16)};
   h.accel.run(prog2, h.as);
   EXPECT_GT(h.accel.translation().private_tlb().stats().misses, misses1);
+}
+
+/// One traced event, as EveryIssueTimePinned pins it.
+struct Span {
+  trace::EventKind kind;
+  Cycle begin, end;
+  std::uint64_t arg;
+  friend bool operator==(const Span&, const Span&) = default;
+};
+
+TEST(Controller, EveryIssueTimePinned) {
+  // Instruction-level timing of one hand-built program: every traced span
+  // (instruction, DMA burst, translation) and the whole report are pinned,
+  // so a refactor of the issue path that moves any issue time, busy count
+  // or event order fails here first. The program covers each unit entry
+  // point and a RAW, WAR and WAW case on each memory.
+  GemminiConfig cfg = GemminiConfig::paper_default();
+  MemorySystem mem{MemSysConfig{}};
+  FrameAllocator frames(0x8000'0000ull);
+  AddressSpace as(mem.phys(), frames);
+  PageTableWalker ptw(cfg.translation.ptw, mem, RequestorId{100});
+  trace::Tracer tracer(1 << 12);
+  Accelerator accel(cfg, mem, ptw, RequestorId{0}, Observers{&tracer});
+  const VAddr in = as.alloc(1 << 14);
+  const VAddr out = as.alloc(1 << 12);
+
+  // Each hazard case below is the constraint that sets its instruction's
+  // start; the pinned spans show it (e.g. the WAR MVIN starts exactly when
+  // the PRELOAD reading its rows ends).
+  const auto acc = [](std::uint32_t row, bool accumulate = false) {
+    return LocalAddr::acc_row(row, accumulate);
+  };
+  const auto sp = LocalAddr::sp_row;
+  const Program prog{
+      make_config_ex(Dataflow::kWeightStationary, Activation::kNone, 0),
+      make_config_ld(16, 1.0f, 0), make_config_ld(64, 1.0f, 1),
+      make_config_st(16),
+      make_mvin(in, sp(0), 16, 16),                 // contiguous
+      make_mvin(in + 4096, sp(16), 8, 16, 1),       // strided
+      make_mvin(in + 8192, acc(16, true), 16, 16),  // accumulate
+      make_preload(sp(16), acc(0), 8, 16, 16, 16),  // real B; RAW sp
+      make_mvin(in + 12288, sp(16), 8, 16),         // WAR sp on that B
+      // D from the accumulator: RAW acc on the accumulate MVIN.
+      make_compute(sp(0), acc(16), 16, 8, 16, 16, true),
+      make_mvin(in + 8192, acc(8, true), 8, 16),  // WAW acc on the tile's C
+      make_mvout(out, acc(0), 8, 16),             // RAW acc on the tile's C
+      make_mvin(in + 8192, acc(0, true), 8, 16),  // WAR acc on that MVOUT
+      make_mvin(in + 12288, sp(32), 16, 16),
+      // Garbage B keeps the latched tile.
+      make_preload(LocalAddr::garbage(), sp(32), 16, 16, 16, 16),
+      // Garbage A, D from the scratchpad; WAW sp on the MVIN to C's rows.
+      make_compute(LocalAddr::garbage(), sp(16), 16, 16, 8, 16, false),
+      make_mvout(out + 2048, sp(32), 16, 16),  // RAW sp on the tile's C
+      make_fence(),
+      make_preload(sp(0), LocalAddr::garbage(), 16, 16, 16, 16),
+      make_compute(sp(0), LocalAddr::garbage(), 16, 16, 0, 0,
+                   true),  // garbage C
+  };
+  accel.run(prog, as);
+
+  std::vector<Span> got;
+  for (const trace::TraceEvent& e : tracer.snapshot()) {
+    got.push_back({e.kind, e.begin, e.end, e.arg});
+  }
+  using enum trace::EventKind;
+  const std::vector<Span> want{
+      {kPtwWalk, 18, 347, 0},
+      {kTlbMiss, 0, 347, 0},
+      {kDmaBurstRead, 0, 497, 256},
+      {kMvin, 0, 498, 256},
+      {kPtwWalk, 369, 394, 0},
+      {kTlbMiss, 351, 394, 0},
+      {kDmaBurstRead, 351, 503, 16},
+      {kDmaBurstRead, 395, 533, 16},
+      {kDmaBurstRead, 396, 537, 16},
+      {kDmaBurstRead, 397, 541, 16},
+      {kDmaBurstRead, 398, 545, 16},
+      {kDmaBurstRead, 399, 549, 16},
+      {kDmaBurstRead, 400, 553, 16},
+      {kDmaBurstRead, 401, 557, 16},
+      {kMvin, 351, 558, 128},
+      {kPtwWalk, 420, 445, 0},
+      {kTlbMiss, 402, 445, 0},
+      {kDmaBurstRead, 402, 595, 256},
+      {kMvin, 402, 596, 256},
+      {kPreload, 558, 566, 0},
+      {kPtwWalk, 584, 609, 0},
+      {kTlbMiss, 566, 609, 0},
+      {kDmaBurstRead, 566, 751, 128},
+      {kMvin, 566, 752, 128},
+      {kTile, 596, 801, 2048},
+      {kDmaBurstRead, 801, 833, 128},
+      {kMvin, 801, 834, 128},
+      {kPtwWalk, 853, 878, 0},
+      {kTlbMiss, 835, 878, 0},
+      {kDmaBurstWrite, 835, 1020, 128},
+      {kMvout, 801, 1020, 128},
+      {kDmaBurstRead, 880, 915, 128},
+      {kMvin, 880, 916, 128},
+      {kDmaBurstRead, 882, 1028, 256},
+      {kMvin, 882, 1029, 256},
+      {kPreload, 801, 817, 0},
+      {kTile, 886, 1030, 4096},
+      {kDmaBurstWrite, 1031, 1185, 256},
+      {kMvout, 1030, 1185, 256},
+      {kPreload, 1185, 1201, 0},
+      {kTile, 1201, 1250, 4096},
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i])
+        << "span " << i << ": " << trace::event_kind_name(got[i].kind) << " ["
+        << got[i].begin << ", " << got[i].end << "] arg " << got[i].arg;
+  }
+  const AccelReport want_report{.finish = 1250,
+                                .instructions = 15,
+                                .macs = 10240,
+                                .tiles = 3,
+                                .load_busy = 502,
+                                .exec_busy = 438,
+                                .store_busy = 95};
+  EXPECT_EQ(accel.report(), want_report);
 }
 
 TEST(Report, MacsAndUtilizationTracked) {

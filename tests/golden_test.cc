@@ -27,6 +27,26 @@ constexpr Cycle kTiledMatmulCycles = 309917;  // 320^3 int8, paper default
 constexpr Cycle kConv3x3Cycles = 1087553;     // 56x56x64 3x3, im2col unit
 constexpr Cycle kResnetSliceCycles = 9355595;  // zoo ResNet-50 at 32x32
 
+// The controller's counters behind each golden: retired instructions and
+// COMPUTE tiles, and each pipeline's busy cycles. A change that keeps the
+// finish cycle but moves work between the load, execute and store pipes
+// shows up here.
+struct Busy {
+  std::uint64_t instructions, tiles;
+  Cycle load, exec, store;
+};
+constexpr Busy kTiledMatmulBusy{19600, 8000, 80096, 225313, 20530};
+constexpr Busy kConv3x3Busy{67888, 28224, 391302, 689472, 35967};
+constexpr Busy kResnetSliceBusy{318814, 103168, 3983727, 5404937, 92123};
+
+void ExpectBusy(const AccelReport& r, const Busy& want) {
+  EXPECT_EQ(r.instructions, want.instructions);
+  EXPECT_EQ(r.tiles, want.tiles);
+  EXPECT_EQ(r.load_busy, want.load);
+  EXPECT_EQ(r.exec_busy, want.exec);
+  EXPECT_EQ(r.store_busy, want.store);
+}
+
 struct Observers {
   const char* name;
   bool trace = false;
@@ -79,6 +99,7 @@ TEST_P(GoldenCycles, TiledMatmul) {
   const Program prog = emit_tiled_matmul(s.config().accel, p);
   EXPECT_EQ(s.accelerator().run(prog, s.address_space()), kTiledMatmulCycles);
   EXPECT_EQ(s.accelerator().report().macs, 320u * 320 * 320);
+  ExpectBusy(s.accelerator().report(), kTiledMatmulBusy);
 
   TensorI8 got({320, 320}), expect({320, 320});
   s.address_space().read_virt(p.c, got.data(), got.size());
@@ -113,6 +134,7 @@ TEST_P(GoldenCycles, Conv3x3) {
       emit_conv(s.config().accel, shape, buf, 7, Activation::kRelu);
   EXPECT_EQ(s.accelerator().run(plan.program, s.address_space()),
             kConv3x3Cycles);
+  ExpectBusy(s.accelerator().report(), kConv3x3Busy);
 }
 
 TEST_P(GoldenCycles, ResnetSlice) {
@@ -122,8 +144,11 @@ TEST_P(GoldenCycles, ResnetSlice) {
   cfg.accel.has_im2col = true;
   for (const bool functional : {true, false}) {
     sim::Session s = session(cfg, functional);
-    EXPECT_EQ(s.run(zoo::resnet50(32)).cycles, kResnetSliceCycles)
+    const sim::Report r = s.run(zoo::resnet50(32));
+    EXPECT_EQ(r.cycles, kResnetSliceCycles)
         << (functional ? "functional" : "timing only");
+    ASSERT_EQ(r.per_core.size(), 1u);
+    ExpectBusy(r.per_core[0].accel, kResnetSliceBusy);
   }
 }
 
