@@ -11,7 +11,8 @@
 namespace gemmini {
 
 Occupancy DmaEngine::stream(const AddressSpace& as, VAddr va,
-                            std::uint64_t bytes, bool write, Cycle issue) {
+                            std::uint64_t bytes, bool write, Cycle issue,
+                            std::uint8_t* data) {
   Occupancy r{issue, issue};
   std::deque<Cycle>& inflight_ = write ? write_inflight_ : read_inflight_;
   std::uint64_t remaining = bytes;
@@ -64,6 +65,16 @@ Occupancy DmaEngine::stream(const AddressSpace& as, VAddr va,
         ++attempt;
       }
     }
+    // The bytes move at the physical address the timed lookup returned,
+    // after the access that carried them (DRAM read flips included).
+    if (data) {
+      if (write) {
+        mem_.phys().write(tr.paddr, data, chunk);
+      } else {
+        mem_.phys().read(tr.paddr, data, chunk);
+      }
+      data += chunk;
+    }
     inflight_.push_back(done);
     r.done_at = std::max(r.done_at, done);
     const bool blocking_miss = tr.level == TranslationLevel::kSharedTlb ||
@@ -102,10 +113,17 @@ Occupancy DmaEngine::mvin(const AddressSpace& as, VAddr dram,
   // instead of row-sized ones — matching the RTL DMA's request coalescing.
   const unsigned burst = stride_bytes == row_bytes ? rows : 1;
   LocalMemory& local = local_memory(dst, sp_, acc_);
+  // Functional runs stream the whole transfer into a staging buffer, then
+  // convert it row-by-row with the dtype/destination branch hoisted out of
+  // the loops.
+  if (functional) stage_.resize(row_bytes * rows);
+  std::uint8_t* const buf_data = stage_.data();
   Occupancy occ{start, start};
   for (unsigned r = 0; r < rows; r += burst) {
-    const Occupancy s = stream(as, dram + r * stride_bytes, burst * row_bytes,
-                               /*write=*/false, occ.free_at);
+    const Occupancy s =
+        stream(as, dram + r * stride_bytes, burst * row_bytes,
+               /*write=*/false, occ.free_at,
+               functional ? buf_data + r * row_bytes : nullptr);
     occ.free_at = s.free_at;
     // Local write happens when the data lands.
     occ.done_at = std::max(occ.done_at,
@@ -113,18 +131,6 @@ Occupancy DmaEngine::mvin(const AddressSpace& as, VAddr dram,
   }
 
   if (functional) {
-    // Burst the whole transfer into a staging buffer first — one page-bounded
-    // copy per chunk (contiguous transfers are a single burst; strided rows
-    // still reuse one translation per page) — then convert row-by-row with
-    // the dtype/destination branch hoisted out of the loops.
-    AddressSpace::Cursor copier(as);
-    stage_.resize(row_bytes * rows);
-    std::uint8_t* const buf_data = stage_.data();
-    for (unsigned r = 0; r < rows; r += burst) {
-      copier.read(dram + r * stride_bytes, buf_data + r * row_bytes,
-                  burst * row_bytes);
-    }
-
     if (dst.is_acc()) {
       // Input-typed payload widened into the accumulator, honoring the
       // accumulate bit (this is how residual additions run on Gemmini).
@@ -209,55 +215,39 @@ Occupancy DmaEngine::mvout(const AddressSpace& as, VAddr dram,
   // Contiguous output rows coalesce into one burst (see mvin).
   const unsigned burst = stride_bytes == row_bytes ? rows : 1;
   LocalMemory& local = local_memory(src, sp_, acc_);
+  // Functional runs assemble each burst's output rows in a staging buffer
+  // (read-out pipeline applied for accumulator sources) right after the
+  // burst's local read, then stream them out.
+  if (functional) stage_.resize(row_bytes * rows);
+  std::uint8_t* const buf_data = stage_.data();
   Occupancy occ{start, start};
   for (unsigned r = 0; r < rows; r += burst) {
     // Local read first (1 cycle per row through the read-out pipeline)...
     const Cycle read_done =
         local.reserve(src.row() + r, burst, occ.free_at, burst);
+    if (functional) {
+      for (unsigned i = r; i < r + burst; ++i) {
+        std::uint8_t* out =
+            buf_data + static_cast<std::size_t>(i) * row_bytes;
+        if (!src.is_acc()) {
+          const std::uint8_t* row = sp_.row_ptr(src.row() + i);
+          std::copy(row, row + row_bytes, out);
+        } else if (cfg_.dtype == DType::kInt8) {
+          acc_.readout_i8(src.row() + i, cols, out_shift, act,
+                          reinterpret_cast<std::int8_t*>(out));
+        } else {
+          acc_.readout_f32(src.row() + i, cols, act,
+                           reinterpret_cast<float*>(out));
+        }
+      }
+    }
     // ...then the write stream to memory.
-    const Occupancy s = stream(as, dram + r * stride_bytes, burst * row_bytes,
-                               /*write=*/true, read_done - burst + 1);
+    const Occupancy s =
+        stream(as, dram + r * stride_bytes, burst * row_bytes,
+               /*write=*/true, read_done - burst + 1,
+               functional ? buf_data + r * row_bytes : nullptr);
     occ.free_at = std::max(occ.free_at + burst, s.free_at);
     occ.done_at = std::max(occ.done_at, s.done_at);
-  }
-
-  if (functional) {
-    // Assemble every output row (read-out pipeline applied for accumulator
-    // sources, dtype branch hoisted) into one staging buffer, then burst it
-    // out with page-bounded writes — a single write_virt-equivalent for
-    // contiguous transfers, one per row (with the page translation reused)
-    // for strided ones.
-    stage_.resize(row_bytes * rows);
-    std::uint8_t* const buf_data = stage_.data();
-    if (src.is_acc()) {
-      if (cfg_.dtype == DType::kInt8) {
-        for (unsigned r = 0; r < rows; ++r) {
-          acc_.readout_i8(src.row() + r, cols, out_shift, act,
-                          reinterpret_cast<std::int8_t*>(
-                              buf_data + static_cast<std::size_t>(r) *
-                                               row_bytes));
-        }
-      } else {
-        for (unsigned r = 0; r < rows; ++r) {
-          acc_.readout_f32(src.row() + r, cols, act,
-                           reinterpret_cast<float*>(
-                               buf_data + static_cast<std::size_t>(r) *
-                                                row_bytes));
-        }
-      }
-    } else {
-      for (unsigned r = 0; r < rows; ++r) {
-        const std::uint8_t* row = sp_.row_ptr(src.row() + r);
-        std::copy(row, row + row_bytes,
-                  buf_data + static_cast<std::size_t>(r) * row_bytes);
-      }
-    }
-
-    AddressSpace::Cursor copier(as);
-    for (unsigned r = 0; r < rows; r += burst) {
-      copier.write(dram + r * stride_bytes, buf_data + r * row_bytes,
-                   burst * row_bytes);
-    }
   }
   return occ;
 }

@@ -77,9 +77,11 @@ class DmaEngine {
  private:
   /// Streams `bytes` at virtual address `va` through the memory system with
   /// the bounded in-flight window: free at the next request's issue slot,
-  /// done at the last completion.
+  /// done at the last completion. With `data`, each chunk is also copied
+  /// between `data` and PhysMem (into PhysMem when `write`) after its
+  /// access — the engine's only touch of PhysMem.
   Occupancy stream(const AddressSpace& as, VAddr va, std::uint64_t bytes,
-                   bool write, Cycle issue);
+                   bool write, Cycle issue, std::uint8_t* data = nullptr);
 
   const GemminiConfig& cfg_;
   MemorySystem& mem_;

@@ -27,9 +27,12 @@
 // seed xor a per-target salt), and a disabled target (rate == 0) consumes no
 // draws — enabling one fault class never perturbs another's sequence.
 //
-// PTW traffic (kPtwRequestor) is excluded from DRAM data flips: corrupted
-// page tables would break the *functional* walker, which models a machine
-// whose page tables live in protected, ECC-scrubbed memory.
+// DRAM read flips land in PhysMem before the DMA copies the chunk that read
+// them: the DMA moves each chunk's bytes right after its timed access.
+// PTW traffic (kPtwRequestor) is excluded from DRAM data flips: the page
+// walk reads its PTEs from PhysMem to find each translation's frame, so
+// corrupted page tables would break it. This models a machine whose page
+// tables live in protected, ECC-scrubbed memory.
 
 #include <cstdint>
 #include <string>

@@ -292,6 +292,8 @@ void Soc::reset_time() {
 void Soc::reset_all() {
   reset_time();
   mem_.reset_all();
+  ptw_.flush();
+  for (auto& a : accels_) a->translation().flush();
 }
 
 }  // namespace gemmini

@@ -127,9 +127,12 @@ class Soc {
       const std::vector<const WorkStream*>& streams);
 
   /// Resets timing state (buses, banks, accelerator timelines) but keeps
-  /// cache contents and data; call between repetitions.
+  /// cache contents, TLBs, the PTW's PTE cache and data; call between
+  /// repetitions that should run warm.
   void reset_time();
-  /// Full reset including cache tags and TLBs.
+  /// reset_time() plus a cold SoC: drops cache tags, every accelerator's
+  /// TLBs and filter registers, and the PTW's PTE cache. Data and address
+  /// spaces are kept.
   void reset_all();
 
  private:

@@ -43,74 +43,26 @@ VAddr AddressSpace::alloc(std::uint64_t bytes) {
   return base;
 }
 
-PAddr AddressSpace::pte_addr(VAddr va, unsigned level) const {
-  GEMMINI_CHECK(level < kPtLevels);
-  PAddr table = root_;
-  for (unsigned l = 0; l < level; ++l) {
-    const PAddr slot = table + vpn_slice(va, l) * sizeof(std::uint64_t);
-    Pte pte{mem_.read_scalar<std::uint64_t>(slot)};
-    GEMMINI_CHECK_MSG(pte.valid() && !pte.leaf(),
-                      "pte_addr walk hit invalid entry");
-    table = pte.target();
-  }
-  return table + vpn_slice(va, level) * sizeof(std::uint64_t);
-}
-
 PAddr AddressSpace::translate(VAddr va) const {
-  PAddr table = root_;
-  for (unsigned level = 0;; ++level) {
-    const PAddr slot = table + vpn_slice(va, level) * sizeof(std::uint64_t);
-    Pte pte{mem_.read_scalar<std::uint64_t>(slot)};
-    GEMMINI_CHECK_MSG(pte.valid(), "page fault: unmapped VA");
-    if (pte.leaf()) {
-      GEMMINI_CHECK_MSG(level == kPtLevels - 1, "superpages not supported");
-      return pte.target() | page_offset(va);
-    }
-    table = pte.target();
-  }
+  return walk(va, [](unsigned, PAddr) {}) | page_offset(va);
 }
 
 void AddressSpace::write_virt(VAddr va, const void* src,
                               std::size_t bytes) const {
-  Cursor(*this).write(va, src, bytes);
+  const auto* p = static_cast<const std::uint8_t*>(src);
+  for (std::size_t off = 0, chunk; off < bytes; off += chunk) {
+    chunk = std::min<std::size_t>(bytes - off,
+                                  kPageBytes - page_offset(va + off));
+    mem_.write(translate(va + off), p + off, chunk);
+  }
 }
 
 void AddressSpace::read_virt(VAddr va, void* dst, std::size_t bytes) const {
-  Cursor(*this).read(va, dst, bytes);
-}
-
-PAddr AddressSpace::Cursor::paddr_of(VAddr va) {
-  const VAddr vbase = page_base(va);
-  if (!valid_ || vbase != last_vbase_) {
-    last_pbase_ = as_.translate(vbase);
-    last_vbase_ = vbase;
-    valid_ = true;
-  }
-  return last_pbase_ | page_offset(va);
-}
-
-void AddressSpace::Cursor::read(VAddr va, void* dst, std::size_t bytes) {
   auto* p = static_cast<std::uint8_t*>(dst);
-  while (bytes > 0) {
-    const std::size_t chunk =
-        std::min<std::size_t>(bytes, kPageBytes - page_offset(va));
-    as_.mem_.read(paddr_of(va), p, chunk);
-    va += chunk;
-    p += chunk;
-    bytes -= chunk;
-  }
-}
-
-void AddressSpace::Cursor::write(VAddr va, const void* src,
-                                 std::size_t bytes) {
-  const auto* p = static_cast<const std::uint8_t*>(src);
-  while (bytes > 0) {
-    const std::size_t chunk =
-        std::min<std::size_t>(bytes, kPageBytes - page_offset(va));
-    as_.mem_.write(paddr_of(va), p, chunk);
-    va += chunk;
-    p += chunk;
-    bytes -= chunk;
+  for (std::size_t off = 0, chunk; off < bytes; off += chunk) {
+    chunk = std::min<std::size_t>(bytes - off,
+                                  kPageBytes - page_offset(va + off));
+    mem_.read(translate(va + off), p + off, chunk);
   }
 }
 

@@ -7,6 +7,8 @@
 // We reproduce the structure: 4 KiB pages, 9 bits of VPN per level, 8-byte
 // PTEs that live in PhysMem so that walker accesses exercise the real memory
 // hierarchy (and PTEs get cached in the shared L2, as on the real SoC).
+// One page-walk loop, AddressSpace::walk, serves both the untimed
+// translate() and the timed PageTableWalker, which charges each PTE load.
 
 #include <cstdint>
 
@@ -55,41 +57,39 @@ class AddressSpace {
   /// backing, byte-granular addresses) and returns its base VA.
   VAddr alloc(std::uint64_t bytes);
 
+  /// Walks the page table for `va`, root first: calls `load(level,
+  /// pte_addr)` before reading each level's PTE, and returns the leaf's
+  /// physical page base. GEMMINI_CHECKs that the mapping exists. The timed
+  /// page-table walker charges each PTE load through `load`.
+  template <typename Load>
+  PAddr walk(VAddr va, Load&& load) const {
+    PAddr table = root_;
+    for (unsigned level = 0;; ++level) {
+      const PAddr slot = table + vpn_slice(va, level) * sizeof(std::uint64_t);
+      load(level, slot);
+      const Pte pte{mem_.read_scalar<std::uint64_t>(slot)};
+      GEMMINI_CHECK_MSG(pte.valid(), "page fault: unmapped VA");
+      if (level + 1 == kPtLevels) {
+        GEMMINI_CHECK_MSG(pte.leaf(), "page walk found no leaf");
+        return pte.target();
+      }
+      GEMMINI_CHECK_MSG(!pte.leaf(), "superpages not supported");
+      table = pte.target();
+    }
+  }
+
   /// Walks the table functionally (no timing). Returns the translated
   /// physical address; GEMMINI_CHECKs that the mapping exists.
   PAddr translate(VAddr va) const;
 
-  /// Address of the PTE consulted at `level` during a walk of `va`; lets the
-  /// timed page-table walker read real memory.
-  PAddr pte_addr(VAddr va, unsigned level) const;
-
   PAddr root() const { return root_; }
   std::uint64_t mapped_pages() const { return mapped_pages_; }
 
-  /// Convenience: functional virtual-memory copy helpers for the runtime.
-  /// (const: they mutate the referenced PhysMem, not the mapping itself.)
+  /// Functional virtual-memory copies for the runtime: one translate() per
+  /// page touched. (const: they mutate the referenced PhysMem, not the
+  /// mapping itself.)
   void write_virt(VAddr va, const void* src, std::size_t bytes) const;
   void read_virt(VAddr va, void* dst, std::size_t bytes) const;
-
-  /// Streaming copier with a one-entry translation cache: chunks at page
-  /// boundaries and walks each page once, *even across calls* — so a burst
-  /// of strided rows landing in one page costs a single functional walk
-  /// (the DMA's functional data path). Always moves data through this
-  /// address space's own backing memory.
-  class Cursor {
-   public:
-    explicit Cursor(const AddressSpace& as) : as_(as) {}
-    void read(VAddr va, void* dst, std::size_t bytes);
-    void write(VAddr va, const void* src, std::size_t bytes);
-
-   private:
-    PAddr paddr_of(VAddr va);
-
-    const AddressSpace& as_;
-    bool valid_ = false;
-    VAddr last_vbase_ = 0;
-    PAddr last_pbase_ = 0;
-  };
 
  private:
   PhysMem& mem_;

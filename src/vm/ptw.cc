@@ -32,32 +32,32 @@ void PageTableWalker::pte_cache_fill(PAddr pte_addr) {
 
 PageTableWalker::WalkResult PageTableWalker::walk(const AddressSpace& as,
                                                   VAddr va, Cycle t) {
-  if (pte_cache_.size() != cfg_.pte_cache_entries) {
-    pte_cache_.assign(cfg_.pte_cache_entries, PteCacheEntry{});
-  }
   ++stats_.walks;
   Cycle now = (t > busy_until_ ? t : busy_until_) + cfg_.setup_latency;
   if (busy_until_ > t) stats_.queue_cycles += busy_until_ - t;
 
-  for (unsigned level = 0; level < kPtLevels; ++level) {
-    const PAddr pte = as.pte_addr(va, level);
+  WalkResult r;
+  r.ppn_base = as.walk(va, [&](unsigned level, PAddr pte) {
     // Non-leaf PTEs hit the walker's PTE cache after the first walk in the
     // region (1-cycle lookup); leaf PTEs always load from memory.
-    if (level + 1 < kPtLevels && pte_cache_lookup(pte)) {
+    const bool leaf = level + 1 == kPtLevels;
+    if (!leaf && pte_cache_lookup(pte)) {
       now += 1;
-      continue;
+      return;
     }
     now = mem_.access(pte, sizeof(std::uint64_t), /*write=*/false, now,
                       requestor_);
     ++stats_.pte_loads;
-    if (level + 1 < kPtLevels) pte_cache_fill(pte);
-  }
+    if (!leaf) pte_cache_fill(pte);
+  });
   busy_until_ = now;
-
-  WalkResult r;
-  r.ppn_base = page_base(as.translate(va));
   r.done = now;
   return r;
+}
+
+void PageTableWalker::flush() {
+  std::fill(pte_cache_.begin(), pte_cache_.end(), PteCacheEntry{});
+  pte_cache_clock_ = 0;
 }
 
 }  // namespace gemmini

@@ -8,6 +8,8 @@
 // *shared memory system*, which means hot PTEs naturally get cached in L2 —
 // the same effect the RTL exhibits.
 
+#include <vector>
+
 #include "src/base/types.h"
 #include "src/mem/memsys.h"
 #include "src/vm/page_table.h"
@@ -32,7 +34,10 @@ class PageTableWalker {
 
   PageTableWalker(const PtwConfig& cfg, MemorySystem& mem,
                   RequestorId requestor)
-      : cfg_(cfg), mem_(mem), requestor_(requestor) {}
+      : cfg_(cfg),
+        mem_(mem),
+        requestor_(requestor),
+        pte_cache_(cfg.pte_cache_entries) {}
 
   struct WalkResult {
     PAddr ppn_base = 0;  ///< physical page base of the leaf
@@ -44,7 +49,10 @@ class PageTableWalker {
   WalkResult walk(const AddressSpace& as, VAddr va, Cycle t);
 
   const Stats& stats() const { return stats_; }
+  /// Drops in-flight state (absolute times); the PTE cache stays warm.
   void reset_time() { busy_until_ = 0; }
+  /// Drops every PTE-cache entry (a cold walker).
+  void flush();
   void reset_stats() { stats_ = Stats{}; }
 
  private:

@@ -144,6 +144,18 @@ TEST(SimSession, RepeatedRunsReportPerRunSubstrateCounts) {
   }
 }
 
+TEST(SimSession, RerunningAPlanStartsCold) {
+  // Every run starts from a cold SoC: L2 tags, TLBs, filter registers and
+  // the walker's PTE cache are all dropped, so one plan run twice in a
+  // Session reports the same thing both times.
+  SocConfig cfg = SocConfig::base_1mb_l2();
+  cfg.accel.translation.filter_registers = true;
+  sim::Session s = sim::Session::builder(cfg).build();
+  const sim::Plan plan = s.plan(zoo::squeezenet_v11(64));
+  const sim::Report first = s.run(plan);
+  EXPECT_EQ(s.run(plan), first);
+}
+
 TEST(SimSession, AllPaperModelsRunScaled) {
   // The whole zoo, scaled, through the push-button facade — every layer
   // kind the lowering supports (conv, depthwise, dense, pools, resadd,

@@ -53,15 +53,22 @@ TEST_F(VmFixture, VirtReadWriteRoundTrip) {
   EXPECT_EQ(in, out);
 }
 
-TEST_F(VmFixture, PteAddrWalksLevels) {
+TEST_F(VmFixture, WalkVisitsEachLevelRootFirst) {
   const VAddr va = as.alloc(kPageBytes);
+  std::vector<PAddr> ptes;
+  const PAddr frame = as.walk(va, [&](unsigned level, PAddr pte) {
+    EXPECT_EQ(level, ptes.size());
+    ptes.push_back(pte);
+  });
+  ASSERT_EQ(ptes.size(), kPtLevels);
   // Root-level PTE lives inside the root page.
-  EXPECT_EQ(page_base(as.pte_addr(va, 0)), as.root());
+  EXPECT_EQ(page_base(ptes.front()), as.root());
   // Leaf PTE must decode to the mapped frame.
-  const Pte leaf{mem.phys().read_scalar<std::uint64_t>(as.pte_addr(va, 2))};
+  const Pte leaf{mem.phys().read_scalar<std::uint64_t>(ptes.back())};
   EXPECT_TRUE(leaf.valid());
   EXPECT_TRUE(leaf.leaf());
-  EXPECT_EQ(leaf.target(), page_base(as.translate(va)));
+  EXPECT_EQ(leaf.target(), frame);
+  EXPECT_EQ(frame, page_base(as.translate(va)));
 }
 
 TEST_F(VmFixture, PtwProducesCorrectFrameAndTakesTime) {
