@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/base/observers.h"
-#include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/trace/trace.h"
@@ -47,7 +46,6 @@ class Bus {
 
   /// Everything this bus counts, since the last reset_stats().
   struct Stats {
-    std::uint64_t busy_cycles = 0;
     std::vector<RequestorStats> requestors;  ///< first-seen order
 
     std::uint64_t bytes() const {
@@ -84,7 +82,6 @@ class Bus {
       }
     }
     busy_until_ = start + occupancy;
-    stats_.busy_cycles += occupancy;
     rs.bytes += bytes;
     if (tracer_) {
       tracer_->span_on(unit_, trace::EventKind::kBusGrant, start, busy_until_,
@@ -93,18 +90,12 @@ class Bus {
     return busy_until_;
   }
 
-  Cycle busy_until() const { return busy_until_; }
   void reset_time() { busy_until_ = 0; }
   void reset_stats() { stats_ = Stats{}; }
 
   const BusConfig& config() const { return cfg_; }
   const std::string& name() const { return name_; }
   const Stats& stats() const { return stats_; }
-
-  /// Fraction of cycles busy in [0, horizon).
-  double utilization(Cycle horizon) const {
-    return safe_ratio(stats_.busy_cycles, horizon);
-  }
 
  private:
   RequestorStats& requestor_stats(int id) {

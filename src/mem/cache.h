@@ -1,7 +1,9 @@
 #pragma once
-// Set-associative, write-back, write-allocate cache timing model with true
-// LRU. Used for the SoC's shared L2 (and, in CPU cost models, to estimate L1
-// behaviour). Purely a tag store: data payloads live in PhysMem.
+// Set-associative, write-back, write-allocate cache timing model: the SoC's
+// shared L2. Purely a tag store: data payloads live in PhysMem. The tags are
+// one `LruSets` (src/base/lru.h) keyed on the line number, so a line's set
+// is `line % sets`, its payload is its dirty bit, and an evicted line's
+// address is `key * line_bytes`.
 //
 // The cache is shared by all requestors on the SoC (host CPUs, accelerator
 // DMAs, the page-table walker), which is what produces the paper's Fig. 9
@@ -9,9 +11,8 @@
 // in L2.
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
+#include "src/base/lru.h"
 #include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
@@ -49,7 +50,7 @@ class Cache {
     double miss_rate() const { return safe_ratio(misses, hits + misses); }
   };
 
-  explicit Cache(const CacheConfig& cfg, std::string name = "l2");
+  explicit Cache(const CacheConfig& cfg);
 
   /// Access one cache line containing `addr`. Allocates on miss and reports
   /// whether a dirty victim was evicted. The tag store is shared: per-
@@ -57,7 +58,7 @@ class Cache {
   CacheAccess access_line(PAddr addr, bool write);
 
   /// True if the line containing `addr` is currently resident (no state
-  /// change) — used by tests and by the CPU cost model's reuse estimator.
+  /// change).
   bool probe(PAddr addr) const;
 
   /// Invalidate everything (e.g. across benchmark repetitions).
@@ -68,24 +69,10 @@ class Cache {
   void reset_stats() { stats_ = Stats{}; }
 
  private:
-  struct Line {
-    bool valid = false;
-    bool dirty = false;
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  ///< larger == more recently used
-  };
-
-  std::uint64_t line_addr(PAddr a) const { return a / cfg_.line_bytes; }
-  std::uint64_t set_index(std::uint64_t line) const {
-    return line % num_sets_;
-  }
-  std::uint64_t tag_of(std::uint64_t line) const { return line / num_sets_; }
+  std::uint64_t line_of(PAddr a) const { return a / cfg_.line_bytes; }
 
   CacheConfig cfg_;
-  std::string name_;
-  unsigned num_sets_;
-  std::vector<Line> lines_;  // num_sets_ * ways, set-major
-  std::uint64_t lru_clock_ = 0;
+  LruSets<bool> tags_;  ///< payload: the line is dirty
   Stats stats_;
 };
 

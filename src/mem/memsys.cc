@@ -8,7 +8,7 @@ MemorySystem::MemorySystem(const MemSysConfig& cfg, Observers obs)
     : cfg_(cfg),
       tracer_(obs.trace),
       sysbus_(cfg.system_bus, "sysbus", trace::Unit::kSystemBus, obs),
-      l2_(std::make_unique<Cache>(cfg.l2, "l2")),
+      l2_(std::make_unique<Cache>(cfg.l2)),
       membus_(cfg.memory_bus, "membus", trace::Unit::kMemoryBus, obs),
       dram_(cfg.dram, obs) {
   cfg_.validate();

@@ -6,10 +6,11 @@
 // and the accelerator, which is suitable for low-power devices"), so walks
 // serialize. Each walk performs kPtLevels dependent 8-byte loads through the
 // *shared memory system*, which means hot PTEs naturally get cached in L2 —
-// the same effect the RTL exhibits.
+// the same effect the RTL exhibits. Non-leaf PTEs also land in a small
+// PTE cache: one fully associative true-LRU `LruSets` (src/base/lru.h) keyed
+// on the PTE's physical address.
 
-#include <vector>
-
+#include "src/base/lru.h"
 #include "src/base/types.h"
 #include "src/mem/memsys.h"
 #include "src/vm/page_table.h"
@@ -37,7 +38,7 @@ class PageTableWalker {
       : cfg_(cfg),
         mem_(mem),
         requestor_(requestor),
-        pte_cache_(cfg.pte_cache_entries) {}
+        pte_cache_(1, cfg.pte_cache_entries) {}
 
   struct WalkResult {
     PAddr ppn_base = 0;  ///< physical page base of the leaf
@@ -52,26 +53,16 @@ class PageTableWalker {
   /// Drops in-flight state (absolute times); the PTE cache stays warm.
   void reset_time() { busy_until_ = 0; }
   /// Drops every PTE-cache entry (a cold walker).
-  void flush();
+  void flush() { pte_cache_.flush(); }
   void reset_stats() { stats_ = Stats{}; }
 
  private:
-  bool pte_cache_lookup(PAddr pte_addr);
-  void pte_cache_fill(PAddr pte_addr);
-
   PtwConfig cfg_;
   MemorySystem& mem_;
   RequestorId requestor_;
   Cycle busy_until_ = 0;
   Stats stats_;
-
-  struct PteCacheEntry {
-    bool valid = false;
-    PAddr addr = 0;
-    std::uint64_t lru = 0;
-  };
-  std::vector<PteCacheEntry> pte_cache_;
-  std::uint64_t pte_cache_clock_ = 0;
+  LruSets<> pte_cache_;
 };
 
 }  // namespace gemmini

@@ -1,6 +1,8 @@
 #pragma once
-// TLB model: fully-associative with true LRU (private accelerator TLBs are
-// small, 4..64 entries) or set-associative for the larger shared L2 TLB.
+// TLB model: fully-associative (private accelerator TLBs are small, 4..64
+// entries) or set-associative for the larger shared L2 TLB. The entries are
+// one true-LRU `LruSets` (src/base/lru.h) keyed on the VPN, with the PPN as
+// payload; fully associative means one set.
 //
 // Tracks hit/miss counters and same-page-as-last-request statistics split by
 // read/write (the paper reports 87% of consecutive reads and 83% of
@@ -9,10 +11,11 @@
 // publishes the hit/miss counts as `core<N>.tlb.{hits,misses}`, and the
 // metrics sampler windows them into the Report's counter timelines.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
+#include "src/base/lru.h"
 #include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
@@ -43,9 +46,9 @@ class Tlb {
     std::uint64_t write_same_page = 0;  ///< same page as the previous write
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    /// Hits satisfied by the one-entry last-page filter in front of the set
-    /// scan (a subset of `hits`: the filter is a host-side fast path with
-    /// identical architectural behavior, not a modeled structure).
+    /// Hits on a same-page repeat of a hit, served from the remembered
+    /// entry without a set scan (a subset of `hits`: a host-side fast path
+    /// with identical architectural behavior, not a modeled structure).
     std::uint64_t fastpath_hits = 0;
 
     double hit_rate() const { return safe_ratio(hits, hits + misses); }
@@ -76,38 +79,21 @@ class Tlb {
   void reset_stats() { stats_ = Stats{}; }
 
  private:
-  struct Entry {
-    bool valid = false;
+  /// One request stream's (read or write) previous lookup since the last
+  /// flush: the same-page statistics compare against `vpn`, and when that
+  /// lookup hit, a same-page repeat re-validates the entry at `idx` instead
+  /// of scanning its set.
+  struct Stream {
+    bool seen = false;
     std::uint64_t vpn = 0;
-    std::uint64_t ppn = 0;
-    std::uint64_t lru = 0;
-  };
-
-  unsigned num_sets() const {
-    return cfg_.ways == 0 ? 1 : cfg_.entries / cfg_.ways;
-  }
-  unsigned set_of(std::uint64_t vpn) const { return vpn % num_sets(); }
-  unsigned set_ways() const {
-    return cfg_.ways == 0 ? cfg_.entries : cfg_.ways;
-  }
-
-  TlbConfig cfg_;
-  std::vector<Entry> entries_;
-  std::uint64_t lru_clock_ = 0;
-  Stats stats_;
-
-  bool have_last_read_ = false, have_last_write_ = false;
-  std::uint64_t last_read_vpn_ = 0, last_write_vpn_ = 0;
-
-  /// One-entry last-page filter per request stream: remembers where the last
-  /// hit lives so same-page streaks skip the set scan. Re-validated against
-  /// the entry on use; cleared by flush().
-  struct LastHit {
-    bool valid = false;
-    std::uint64_t vpn = 0;
+    bool hit = false;
     std::size_t idx = 0;
   };
-  LastHit last_read_hit_, last_write_hit_;
+
+  TlbConfig cfg_;
+  LruSets<std::uint64_t> entries_;  ///< payload: the PPN
+  Stats stats_;
+  Stream read_, write_;
 };
 
 }  // namespace gemmini

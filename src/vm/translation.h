@@ -64,7 +64,6 @@ class TranslationSystem {
   void flush();
 
   const Tlb& private_tlb() const { return private_; }
-  const Tlb* shared_tlb() const { return l2_ ? &*l2_ : nullptr; }
   const Stats& stats() const { return stats_; }
   const TranslationConfig& config() const { return cfg_; }
   /// Zeroes this system's counts and those of its TLBs.
